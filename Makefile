@@ -25,9 +25,10 @@ race:
 	$(GO) test -race -timeout 30m ./internal/mcheck/... ./internal/litmus/... ./internal/core/... ./internal/engine/... ./internal/server/...
 
 # Allocation regression guards: the search hot path (Clone+Apply+encode),
-# the bytes-per-state guard on the compacted visited table, the
-# work-stealing deque push/take cycle, the compiler's memo-hit replay
-# path, and the simulator's discrete-event loop (allocs per memory
+# the bytes-per-state guard on the compacted visited table, the byte
+# frontier's push/take cycle (zero allocations), the heap bytes a
+# sequential Explore allocates per visited state, the compiler's memo-hit
+# replay path, and the simulator's discrete-event loop (allocs per memory
 # operation). Runs without the race detector: its instrumentation changes
 # alloc counts, so the alloc guard files are build-tagged out of
 # `make race`.

@@ -345,6 +345,9 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 	if c.err != nil {
 		return nil, c.err
 	}
+	if res.Err != nil {
+		return nil, fmt.Errorf("compile %s: %w", f.Name(), res.Err)
+	}
 	if res.Cancelled {
 		return nil, fmt.Errorf("%w: %s at %d states: %w", ErrCompileCancelled, f.Name(), res.States, ctx.Err())
 	}

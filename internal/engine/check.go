@@ -65,6 +65,8 @@ type CheckResult struct {
 // means the exhaustive search proved deadlock freedom.
 func (r *CheckResult) Verdict() error {
 	switch {
+	case r.Err != nil:
+		return r.Err
 	case r.Deadlocks > 0:
 		return fmt.Errorf("deadlock found")
 	case r.Cancelled:
@@ -103,9 +105,10 @@ func CheckDriver(cores, addrs int, symmetric bool) [][]spec.CoreReq {
 }
 
 // Check runs one deadlock check to completion (or cancellation). The
-// returned error covers request and setup problems only; search outcomes
-// — deadlocks, truncation, cancellation — land in the result, with
-// Verdict mapping them back to the CLI error convention.
+// returned error covers request and setup problems and search faults
+// (mcheck.Result.Err, returned alongside the partial result); search
+// outcomes — deadlocks, truncation, cancellation — land in the result,
+// with Verdict mapping them back to the CLI error convention.
 func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, error) {
 	caches := req.Caches
 	if caches == 0 {
@@ -207,13 +210,10 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 		return nil, fmt.Errorf("check request selects nothing: set protocol, pair or table")
 	}
 
-	if req.Search.SpillDir != "" && !mcheck.CanSpill(sys) {
-		return nil, fmt.Errorf("spill-dir: this system's components lack the faithful state codec spilling requires")
-	}
 	opts, err := req.Search.mcheckOptions(hooks, evictions)
 	if err != nil {
 		return nil, err
 	}
 	res := mcheck.ExploreCtx(ctx, sys, opts)
-	return &CheckResult{Name: name, Result: *res, Compile: compileStats}, nil
+	return &CheckResult{Name: name, Result: *res, Compile: compileStats}, res.Err
 }

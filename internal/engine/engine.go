@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -100,6 +101,9 @@ type Hooks struct {
 	// from this shared accountant (mcheck.Options.MemPool) — how a server
 	// hosting concurrent searches shares one memory budget.
 	MemPool *mcheck.MemPool
+	// SpillWriter wraps every spill wave writer of the run's checks
+	// (mcheck.Options.SpillWriter): a fault-injection seam.
+	SpillWriter func(io.Writer) io.Writer
 }
 
 // searchProgress adapts OnProgress to an mcheck callback for the given
@@ -139,6 +143,7 @@ func (s SearchOptions) mcheckOptions(h Hooks, evictions bool) (mcheck.Options, e
 		ProgressEvery:  h.ProgressEvery,
 		OnProgress:     h.searchProgress("search"),
 		MemPool:        h.MemPool,
+		SpillWriter:    h.SpillWriter,
 	}, nil
 }
 

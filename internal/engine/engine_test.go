@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"heterogen/internal/core"
@@ -130,5 +132,26 @@ func TestCompileRequest(t *testing.T) {
 	}
 	if warm.Digest != cold.Digest {
 		t.Fatalf("digest changed across the cache: %s vs %s", warm.Digest, cold.Digest)
+	}
+}
+
+// TestSearchFaultIsError: a search fault is returned as an error, never a
+// panic — Check hands it back next to its partial result, and Litmus
+// returns the first failing test's. An unusable spill directory is the
+// fault here; the server tests fill a spill disk mid-wave.
+func TestSearchFaultIsError(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	search := SearchOptions{Workers: 1, SpillDir: notDir}
+	res, err := Check(context.Background(), CheckRequest{Protocol: "MSI", Caches: 2, Addrs: 1, Search: search}, Hooks{})
+	if err == nil || res == nil || res.Verdict() == nil {
+		t.Fatalf("check over an unusable spill dir: err=%v res=%v", err, res)
+	}
+	lres, err := Litmus(context.Background(), LitmusRequest{Pair: []string{"MSI", "RCC"}, Shapes: []string{"MP"},
+		Search: search}, Hooks{})
+	if err == nil || lres == nil || lres.Passed != 0 || lres.Failed != 0 {
+		t.Fatalf("litmus over an unusable spill dir: err=%v res=%+v", err, lres)
 	}
 }

@@ -109,7 +109,8 @@ func (req *LitmusRequest) shapes() ([]litmus.Shape, error) {
 }
 
 // Litmus runs one litmus request to completion (or cancellation). Like
-// Check, the error covers request problems only; test failures and
+// Check, the error covers request problems and search faults (the first
+// test whose search failed, e.g. on a spill write); test failures and
 // cancellation land in the result.
 func Litmus(ctx context.Context, req LitmusRequest, hooks Hooks) (*LitmusResult, error) {
 	maxThreads := req.MaxThreads
@@ -146,8 +147,7 @@ func Litmus(ctx context.Context, req LitmusRequest, hooks Hooks) (*LitmusResult,
 			r := litmus.RunHomogeneousCtx(ctx, p, shape, opts)
 			out.Results = append(out.Results, r)
 		}
-		tally(out)
-		return out, nil
+		return out, tally(out)
 	}
 
 	var pairNames [][2]string
@@ -179,15 +179,20 @@ func Litmus(ctx context.Context, req LitmusRequest, hooks Hooks) (*LitmusResult,
 		return nil, err
 	}
 	out := &LitmusResult{Results: report.Results, Cancelled: report.Cancelled}
-	tally(out)
-	return out, nil
+	return out, tally(out)
 }
 
-// tally fills the pass/fail counts, treating cancelled tests as neither
-// and lifting any mid-test cancellation to the run flag.
-func tally(r *LitmusResult) {
+// tally fills the pass/fail counts, treating cancelled and faulted tests
+// as neither and lifting any mid-test cancellation to the run flag. It
+// returns the first test's fault.
+func tally(r *LitmusResult) error {
+	var err error
 	for _, res := range r.Results {
 		switch {
+		case res.Err != nil:
+			if err == nil {
+				err = fmt.Errorf("litmus %s %s alloc=%v: %w", res.Shape, res.Pair, res.Assign, res.Err)
+			}
 		case res.Cancelled:
 			r.Cancelled = true
 		case res.Pass():
@@ -196,4 +201,5 @@ func tally(r *LitmusResult) {
 			r.Failed++
 		}
 	}
+	return err
 }

@@ -102,17 +102,22 @@ type Result struct {
 	Outcomes  int           // distinct observable outcomes
 	Elapsed   time.Duration // wall-clock time of the exploration
 	Engine    string        // directory engine label ("" = unlabeled)
+	// Err is the fault that stopped the test's search or compile (see
+	// mcheck.Result.Err): no verdict may be drawn from the other fields.
+	Err error `json:"-"`
 }
 
 // Pass reports whether the protocol passed this test.
 func (r *Result) Pass() bool {
-	return !r.Observed && len(r.BadOutcomes) == 0 && r.Deadlocks == 0 && !r.Truncated && !r.Cancelled
+	return !r.Observed && len(r.BadOutcomes) == 0 && r.Deadlocks == 0 && !r.Truncated && !r.Cancelled && r.Err == nil
 }
 
 // String renders the result Murphi-report-style (§A.5.1).
 func (r *Result) String() string {
 	status := "pass"
 	switch {
+	case r.Err != nil:
+		status = "Error: " + r.Err.Error()
 	// A deadlock or forbidden outcome found in a partial space is sound
 	// evidence of failure, so those verdicts outrank Cancelled.
 	case r.Deadlocks > 0:
@@ -278,7 +283,8 @@ func RunFusedCtx(ctx context.Context, f *core.Fusion, shape Shape, assign []int,
 				return &Result{Shape: shape.Name, Pair: f.Name(), Assign: assign,
 					Truncated: true, Engine: core.EngineCompiled, Elapsed: time.Since(start)}
 			}
-			panic(err)
+			return &Result{Shape: shape.Name, Pair: f.Name(), Assign: assign,
+				Err: err, Engine: core.EngineCompiled, Elapsed: time.Since(start)}
 		}
 		sys = cf.System()
 	}
@@ -301,7 +307,7 @@ func RunFusedCtx(ctx context.Context, f *core.Fusion, shape Shape, assign []int,
 		States: res.States, Deadlocks: res.Deadlocks, DeadlockState: res.DeadlockAt,
 		Truncated: res.Truncated, Cancelled: res.Cancelled,
 		Outcomes: len(res.Outcomes), Elapsed: elapsed,
-		Engine: res.Engine}
+		Engine: res.Engine, Err: res.Err}
 	for k := range res.Outcomes {
 		if _, ok := allowed[k]; !ok {
 			out.BadOutcomes = append(out.BadOutcomes, k)
@@ -429,7 +435,7 @@ func RunHomogeneousCtx(ctx context.Context, p *spec.Protocol, shape Shape, opts 
 		States: res.States, Deadlocks: res.Deadlocks, DeadlockState: res.DeadlockAt,
 		Truncated: res.Truncated, Cancelled: res.Cancelled,
 		Outcomes: len(res.Outcomes), Elapsed: elapsed,
-		Engine: res.Engine}
+		Engine: res.Engine, Err: res.Err}
 	for k := range res.Outcomes {
 		if _, ok := allowed[k]; !ok {
 			out.BadOutcomes = append(out.BadOutcomes, k)

@@ -12,6 +12,7 @@ package mcheck
 // `make check` runs it in a separate uninstrumented pass.
 
 import (
+	"runtime"
 	"testing"
 
 	"heterogen/internal/protocols"
@@ -65,26 +66,86 @@ func TestAllocRegressionCloneApplyEncode(t *testing.T) {
 	}
 }
 
-// TestAllocRegressionWSDeque guards the work-stealing frontier's push/take
-// cycle: pushTail appends into a reused buffer (amortized zero) and each
-// take allocates exactly one batch slice. A regression here multiplies
-// across every state the parallel search moves through its deques.
+// TestAllocRegressionWSDeque guards the byte frontier's publish/take
+// cycle: once its chunks are warm, admitting records into a worker's
+// buffer, publishing them onto its deque, taking them back in batches and
+// popping them allocates nothing — records are copied between pointer-free
+// chunks that are recycled, never allocated per state. The sequential
+// queue's push/pop cycle is held to the same budget.
 func TestAllocRegressionWSDeque(t *testing.T) {
-	var d wsDeque
-	states := make([]*System, 8)
-	for i := range states {
-		states[i] = &System{}
+	ctx := &searchCtx{}
+	rec := make([]byte, 240)
+	f := newWSFrontier(ctx, &recQueue{stats: &ctx.stats}, 2, rec)
+	var batch recSlab
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			f.pend[0].push(rec)
+		}
+		f.flush(0)
+		for f.deques[0].recs.n > 0 {
+			f.take(0, &batch)
+			for _, ok := batch.popFront(); ok; _, ok = batch.popFront() {
+			}
+			f.settle(batch.n)
+		}
 	}
-	d.pushTail(make([]*System, 1024)) // pre-grow the backing buffer
-	for d.popTail(maxBatch) != nil {
+	for i := 0; i < 100; i++ {
+		cycle()
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		d.pushTail(states)
-		d.popTail(maxBatch)
-		d.popTail(maxBatch)
-	})
-	t.Logf("deque push+pop cycle: %.1f allocs", allocs)
-	if allocs > 3 {
-		t.Errorf("deque push+pop cycle allocates %.1f, budget 3 — a take should cost one batch slice", allocs)
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("byte-frontier push+take cycle allocates %.1f, want 0", allocs)
+	}
+
+	q := &recQueue{stats: &ctx.stats}
+	qcycle := func() {
+		for i := 0; i < 8; i++ {
+			q.push(rec)
+		}
+		for _, ok, _ := q.pop(); ok; _, ok, _ = q.pop() {
+		}
+	}
+	for i := 0; i < 100; i++ {
+		qcycle()
+	}
+	if allocs := testing.AllocsPerRun(200, qcycle); allocs != 0 {
+		t.Errorf("sequential queue push+pop cycle allocates %.1f, want 0", allocs)
+	}
+}
+
+// exploreBytesBudget caps the heap bytes a sequential Explore allocates
+// per visited state on the MESI configuration below. Measured ~700 with
+// the byte frontier, about 500 of them the exact visited set's own
+// encodings; a frontier of heap Systems copied per admitted state cost
+// ~1600.
+const exploreBytesBudget = 1024
+
+// TestAllocRegressionExploreBytes guards the search loop end to end: a
+// sequential Explore of a small homogeneous MESI system must stay under
+// exploreBytesBudget allocated bytes per visited state, counting the
+// frontier, the visited set, the cursor and every scratch buffer.
+func TestAllocRegressionExploreBytes(t *testing.T) {
+	build := func() *System {
+		sys := NewHomogeneous(protocols.MustByName(protocols.NameMESI), 2)
+		sys.SetPrograms([][]spec.CoreReq{
+			{{Op: spec.OpStore, Addr: 0, Value: 1}, {Op: spec.OpLoad, Addr: 1}, {Op: spec.OpStore, Addr: 1, Value: 3}},
+			{{Op: spec.OpStore, Addr: 1, Value: 2}, {Op: spec.OpLoad, Addr: 0}, {Op: spec.OpLoad, Addr: 1}},
+		})
+		return sys
+	}
+	opts := Options{Workers: 1, Evictions: true, POR: POROff}
+	Explore(build(), opts) // warm lazily built protocol tables
+	sys := build()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := Explore(sys, opts)
+	runtime.ReadMemStats(&after)
+	perState := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.States)
+	t.Logf("sequential Explore: %d states, %.0f bytes allocated per state", res.States, perState)
+	if res.States < 10_000 {
+		t.Fatalf("only %d states — workload too small to measure", res.States)
+	}
+	if perState > exploreBytesBudget {
+		t.Errorf("sequential Explore allocates %.0f bytes per state, budget %d", perState, exploreBytesBudget)
 	}
 }

@@ -6,55 +6,22 @@ import (
 	"heterogen/internal/spec"
 )
 
-// Spill codec for whole System states. The disk-spilling frontier keeps
-// frontier entries as these compact byte strings instead of cloned Systems
-// and rehydrates them on pop by decoding into a fresh clone of the search's
-// template state (same components, cores and topology — only the mutable
-// state differs).
+// Spill codec for whole System states. Every frontier entry is one of
+// these compact byte records; a search worker decodes each popped record
+// into its cursor, a clone of the initial state (same components, cores
+// and topology — only the mutable state differs).
 //
 // This is deliberately NOT the visited-set encoding: EncodeBinary only has
 // to be injective, and component hosts may omit reconstructible fields from
 // it (see core.MergedDir). appendSpill routes every component through
 // spec.StateCodec, whose contract is bijectivity.
 
-// CanSpill reports whether every component of s implements the faithful
-// state codec the disk-spilling frontier requires. All systems built by
-// this repo (homogeneous CacheInst/DirInst configurations and fused
-// MergedDir systems) qualify; a hand-assembled system with a Snapshot-only
-// component does not.
-func CanSpill(s *System) bool {
-	for _, c := range s.Components {
-		if _, ok := c.(spec.StateCodec); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // appendSpill appends the faithful binary encoding of the full system
 // state: components, shared memory, channels, cores.
 func appendSpill(s *System, buf []byte) []byte {
 	for _, c := range s.Components {
-		buf = c.(spec.StateCodec).AppendState(buf)
+		buf = c.AppendState(buf)
 	}
-	return appendSpillAfterComponents(s, buf)
-}
-
-// appendSpillSegs is appendSpill recording the end offset of every
-// component's segment into segs, so restoreSegs can later re-decode just
-// the components a move dirtied without walking the others' bytes.
-func appendSpillSegs(s *System, buf []byte, segs []int) ([]byte, []int) {
-	segs = segs[:0]
-	for _, c := range s.Components {
-		buf = c.(spec.StateCodec).AppendState(buf)
-		segs = append(segs, len(buf))
-	}
-	return appendSpillAfterComponents(s, buf), segs
-}
-
-// appendSpillAfterComponents encodes everything that follows the component
-// segments: shared memory, channels, cores.
-func appendSpillAfterComponents(s *System, buf []byte) []byte {
 	buf = s.Mem.AppendState(buf)
 	buf = spec.AppendUvarint(buf, uint64(len(s.chans)))
 	for i := range s.chans {
@@ -92,35 +59,39 @@ func (s *System) spillDec(enc []byte) *spec.Dec {
 // decodeSpill rebuilds a spilled state in place over s, which must be a
 // clone of the system the state was encoded from (programs, topology and
 // component structure are taken from the receiver; only mutable state is
-// read from enc).
-func decodeSpill(s *System, enc []byte) error {
+// read from enc). It records the end offset of every component's segment
+// into segs, so restoreSegs can later re-decode just the components a move
+// dirtied from the same bytes.
+func decodeSpill(s *System, enc []byte, segs []int) ([]int, error) {
 	d := s.spillDec(enc)
+	segs = segs[:0]
 	for _, c := range s.Components {
-		if err := c.(spec.StateCodec).DecodeState(d); err != nil {
-			return err
+		if err := c.DecodeState(d); err != nil {
+			return segs, err
 		}
+		segs = append(segs, len(enc)-d.Len())
 	}
 	if err := s.Mem.DecodeState(d); err != nil {
-		return err
+		return segs, err
 	}
 	decodeSpillTail(s, d)
 	if err := d.Err(); err != nil {
-		return err
+		return segs, err
 	}
 	if d.Len() != 0 {
-		return fmt.Errorf("mcheck: spill decode left %d trailing bytes", d.Len())
+		return segs, fmt.Errorf("mcheck: spill decode left %d trailing bytes", d.Len())
 	}
 	// The receiver's components were overwritten wholesale; any memoized
 	// enabled-move bits inherited from the template are meaningless now.
 	s.invalidateMoveCache()
-	return nil
+	return segs, nil
 }
 
 // restoreSegs is the in-place successor strategy's partial decodeSpill:
 // re-decode only the components whose bits are set in mask (all of them
 // when mask is all-ones or a component index exceeds 63), then the shared
 // memory, channels and cores, which every move may touch. preImg/segs must
-// come from appendSpillSegs on this same system.
+// be the record and offsets of this system's last decodeSpill.
 func (s *System) restoreSegs(preImg []byte, segs []int, mask uint64) error {
 	restoreAll := mask == ^uint64(0)
 	start := 0
@@ -128,7 +99,7 @@ func (s *System) restoreSegs(preImg []byte, segs []int, mask uint64) error {
 		end := segs[i]
 		if restoreAll || (i < 64 && mask&(uint64(1)<<uint(i)) != 0) {
 			d := s.spillDec(preImg[start:end])
-			if err := c.(spec.StateCodec).DecodeState(d); err != nil {
+			if err := c.DecodeState(d); err != nil {
 				return err
 			}
 			if err := d.Err(); err != nil {
@@ -155,36 +126,43 @@ func (s *System) restoreSegs(preImg []byte, segs []int, mask uint64) error {
 	return nil
 }
 
+// chanSlack is the spare room each decoded channel queue gets in the
+// message arena, so the sends of the next move append without allocating.
+const chanSlack = 2
+
 // decodeSpillTail decodes the channel and core segments (everything after
-// the shared memory). Errors are left on the cursor for the caller.
+// the shared memory). Channel queues are rebuilt in the system's message
+// arena, each capacity-capped to its own region plus chanSlack, so
+// appending to one never clobbers a sibling. Errors are left on the cursor
+// for the caller.
 func decodeSpillTail(s *System, d *spec.Dec) {
 	n := d.Uvarint()
-	old := s.chans
 	s.chans = s.chans[:0]
+	arena := s.msgArena[:0]
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		var cs chanState
-		if int(i) < len(old) {
-			// Reuse the previous decode's message buffer. Arena-backed
-			// slices from Clone are capacity-capped to their own region,
-			// so appending within cap never clobbers a sibling channel.
-			cs.msgs = old[i].msgs[:0]
-		}
 		cs.k.src = spec.NodeID(d.Int())
 		cs.k.dst = spec.NodeID(d.Int())
 		cs.k.vnet = spec.VNet(d.Int())
 		cnt := int(d.Uvarint())
-		if d.Err() != nil {
+		if d.Err() != nil || cnt > d.Len() {
 			break
 		}
-		if cap(cs.msgs) < cnt {
-			cs.msgs = make([]spec.Msg, 0, cnt)
+		start := len(arena)
+		end := start + cnt + chanSlack
+		if end > cap(arena) {
+			// Queues decoded so far keep the old array; the next decode
+			// starts over in this one.
+			arena = make([]spec.Msg, start, 2*end)
 		}
+		arena = arena[:end]
 		for j := 0; j < cnt && d.Err() == nil; j++ {
-			cs.msgs = cs.msgs[:j+1]
-			spec.DecodeMsgInto(&cs.msgs[j], d)
+			spec.DecodeMsgInto(&arena[start+j], d)
 		}
+		cs.msgs = arena[start : start+cnt : end]
 		s.chans = append(s.chans, cs)
 	}
+	s.msgArena = arena
 	for _, c := range s.Cores {
 		c.PC = d.Int()
 		c.Issued = d.Bool()

@@ -3,6 +3,7 @@ package mcheck
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -48,17 +49,22 @@ type Options struct {
 	// defaults to 8 GiB for the table cap and 64 MiB for the filter.
 	// Ignored in exact mode.
 	MemBudget int64
-	// SpillDir, when nonempty, bounds frontier memory too: frontier entries
-	// become compact binary encodings (rehydrated on pop via the bijective
-	// spill codec), and beyond a bounded in-memory ring they spill in waves
-	// to temp files under this directory, streamed back FIFO. Use CanSpill
-	// to check a system qualifies (all do in this repo); Explore falls back
-	// to the in-memory frontier when it doesn't. I/O failures panic: a
-	// half-lost frontier cannot produce a trustworthy verdict.
+	// SpillDir, when nonempty, bounds frontier memory too: the frontier's
+	// records (compact spill-codec encodings, see decode.go) are consumed
+	// FIFO, and beyond a bounded in-memory ring they spill in waves to temp
+	// files under this directory, streamed back in order. Frontier memory
+	// stays within 2·SpillRing records sequentially and 2·SpillRing +
+	// workers·(max(SpillRing/workers, 64) + 64) in parallel
+	// (Result.PeakResident). An I/O failure ends the search with
+	// Result.Err: a half-lost frontier cannot produce a trustworthy
+	// verdict.
 	SpillDir string
-	// SpillRing caps in-memory frontier entries per window when spilling
-	// (0 = 32Ki entries).
+	// SpillRing caps in-memory frontier records per window when spilling
+	// (0 = 32Ki records).
 	SpillRing int
+	// SpillWriter, when non-nil, wraps the writer of every wave file — a
+	// fault-injection seam (tests fail writes mid-wave with it).
+	SpillWriter func(io.Writer) io.Writer
 	// Workers sets the search parallelism: 0 uses runtime.NumCPU() workers
 	// over a shared frontier, 1 forces the sequential breadth-first search
 	// (deterministic visit order; exact first-deadlock and truncation
@@ -162,11 +168,18 @@ type Result struct {
 	OmissionProb   float64 // estimated probability ≥1 state was omitted (lossy modes)
 	SpilledStates  int64   // cumulative frontier states written to disk
 	SpilledBytes   int64   // cumulative bytes written to spill files
+	PeakResident   int64   // spilling only: most frontier records held in memory at once
+	PeakFrontier   int64   // spilling only: most frontier records queued at once, in memory or on disk
+
+	// Err is the first fault that stopped the search (a spill-file I/O
+	// error or an undecodable frontier record): the result is partial and
+	// no verdict may be drawn from it.
+	Err error `json:"-"`
 }
 
 // Ok reports whether the search finished with no deadlocks or violations.
 func (r *Result) Ok() bool {
-	return r.Deadlocks == 0 && len(r.Violations) == 0 && !r.Truncated && !r.Cancelled
+	return r.Deadlocks == 0 && len(r.Violations) == 0 && !r.Truncated && !r.Cancelled && r.Err == nil
 }
 
 // String summarizes the search one-line, naming the bound that fired on
@@ -212,6 +225,9 @@ func (r *Result) String() string {
 			s += " — a lower bound under " + r.Storage
 		}
 	}
+	if r.Err != nil {
+		s += fmt.Sprintf("; failed after %d states: %v", r.States, r.Err)
+	}
 	return s
 }
 
@@ -221,94 +237,73 @@ func lossy(storage string) bool {
 	return storage != "" && storage != "exact" && storage != "exact+spill"
 }
 
-// searchCtx is the per-search immutable context shared by all workers:
-// resolved options, the symmetry group (nil when unreduced) and the
-// outcome key tables precomputed once instead of fmt.Sprintf-ed per
-// quiescent state.
+// searchCtx is the per-search context shared by all workers: resolved
+// options, the symmetry group (nil when unreduced), the outcome key tables
+// precomputed once instead of fmt.Sprintf-ed per quiescent state, and the
+// stop flag with its first-error slot.
 type searchCtx struct {
 	opts      Options
 	maxStates int
 	canon     *canonicalizer
 	parallel  bool
 	por       bool       // ample-set reduction active for this search
-	restore   bool       // in-place successor generation via the spill codec (see expand)
-	initial   *System    // caller-owned root state, exempt from pool recycling
 	porCands  []porCand  // reduction candidates (top-level caches)
 	loadKeys  [][]string // per core, per completed-load index
 	memKeys   []string   // per ObserveMem entry
 	stats     searchStats
-	// cancelled is raised by the context watcher goroutine; the search
-	// loops poll it at the same cadence as the state-budget check, so
-	// cancellation is cooperative and costs one atomic load per expansion.
-	cancelled atomic.Bool
+	// halt is raised by the context watcher and by fail; the search loops
+	// poll it at the same cadence as the state-budget check, so stopping is
+	// cooperative and costs one atomic load per expansion.
+	halt  atomic.Bool
+	errMu sync.Mutex
+	err   error // first fault, set by fail
+}
+
+// fail records err as the search's fault (the first one wins) and halts
+// the search the way cancellation does.
+func (ctx *searchCtx) fail(err error) {
+	ctx.errMu.Lock()
+	if ctx.err == nil {
+		ctx.err = err
+	}
+	ctx.errMu.Unlock()
+	ctx.halt.Store(true)
+}
+
+// firstErr returns the fault recorded by fail, if any.
+func (ctx *searchCtx) firstErr() error {
+	ctx.errMu.Lock()
+	defer ctx.errMu.Unlock()
+	return ctx.err
 }
 
 // expandScratch is the per-worker reusable buffer set.
 type expandScratch struct {
-	moves    []Move
-	amp      []Move // ample-partition scratch (por.go)
-	rest     []Move
-	encBuf   []byte
-	spillBuf []byte
-	preImg   []byte // expanded state's spill image (in-place restore)
-	preSegs  []int  // per-component end offsets into preImg (partial restore)
-	canon    canonScratch
-	pool     []*System // recycled expanded states (claim/recycle)
-	copyBuf  []byte    // claim's spill-image scratch
-}
-
-// poolCap bounds one worker's claim pool; beyond it recycle drops states
-// for the collector, so a draining frontier cannot pin its peak footprint
-// in recycled Systems.
-const poolCap = 256
-
-// claim converts a successor handed to an enqueue callback into a System
-// the frontier may own. In restore mode the callback's argument is
-// borrowed — successorsInPlace restores it right after the callback
-// returns — so claim deep-copies it, preferably onto a recycled System
-// through the spill codec: the in-place decode reuses the recycled
-// state's allocations (lines, channels, bridges, tasks), collapsing the
-// checker's per-admitted-state allocation cost to a byte copy. Without
-// the codec, successorsCloned already hands over a fresh clone, which
-// claim passes through untouched.
-func (ctx *searchCtx) claim(next *System, sc *expandScratch) *System {
-	if !ctx.restore {
-		return next
-	}
-	n := len(sc.pool)
-	if n == 0 {
-		return next.Clone()
-	}
-	s := sc.pool[n-1]
-	sc.pool[n-1] = nil
-	sc.pool = sc.pool[:n-1]
-	sc.copyBuf = appendSpill(next, sc.copyBuf[:0])
-	if err := decodeSpill(s, sc.copyBuf); err != nil {
-		panic(err.Error())
-	}
-	s.mc = next.mc // carry the incremental move cache, exactly as Clone does
-	return s
-}
-
-// recycle returns an expanded state to the worker's claim pool once the
-// search is finished with it. Callers must never recycle the caller-owned
-// initial state or a System an enqueue callback took ownership of.
-func (sc *expandScratch) recycle(s *System) {
-	if len(sc.pool) < poolCap {
-		sc.pool = append(sc.pool, s)
-	}
+	moves  []Move
+	amp    []Move // ample-partition scratch (por.go)
+	rest   []Move
+	encBuf []byte
+	rec    []byte // an admitted successor's record
+	segs   []int  // the cursor's per-component end offsets into its record
+	canon  canonScratch
 }
 
 // searchStats is the live-counter block the progress ticker reads while
-// workers run.
+// workers run: frontier records queued in memory or on disk, and those in
+// memory, each with its high-water mark.
 type searchStats struct {
-	frontier atomic.Int64
+	frontier gauge
+	resident gauge
+}
+
+// admit counts n records entering the frontier (negative: leaving it).
+func (st *searchStats) admit(n int) {
+	st.frontier.add(n)
+	st.resident.add(n)
 }
 
 func newSearchCtx(initial *System, opts Options, maxStates int, parallel bool) *searchCtx {
-	ctx := &searchCtx{opts: opts, maxStates: maxStates, parallel: parallel,
-		initial: initial}
-	ctx.restore = CanSpill(initial)
+	ctx := &searchCtx{opts: opts, maxStates: maxStates, parallel: parallel}
 	if opts.Symmetry {
 		ctx.canon = detectSymmetry(initial, opts)
 	}
@@ -399,10 +394,10 @@ func (ctx *searchCtx) orbitOutcomes(s *System, set memmodel.OutcomeSet) {
 }
 
 // Explore runs an exhaustive search from the initial system state: a
-// deterministic breadth-first walk with Workers: 1, a worker-pool frontier
-// search over a sharded visited set otherwise. Both visit every reachable
-// state (modulo the MaxStates budget) and agree on state/transition/
-// deadlock counts and the outcome set.
+// deterministic breadth-first walk with Workers: 1, a work-stealing search
+// over a shared visited set otherwise. Both visit every reachable state
+// (modulo the MaxStates budget) and agree on state/transition/deadlock
+// counts and the outcome set.
 func Explore(initial *System, opts Options) *Result {
 	return ExploreCtx(context.Background(), initial, opts)
 }
@@ -411,11 +406,12 @@ func Explore(initial *System, opts Options) *Result {
 // SIGINT, a server DELETE-ing the job) the search stops cooperatively at
 // the next expansion boundary and returns the partial Result it has, with
 // Cancelled set and every storage/omission accounting field filled in —
-// the same shape a BudgetFull or MaxStates truncation reports. All worker
-// goroutines, the progress ticker and the context watcher have exited by
-// the time ExploreCtx returns, and spill temp files are removed; a
-// cancelled search leaks nothing and a rerun from the same inputs
-// produces the identical full Result.
+// the same shape a BudgetFull or MaxStates truncation reports. A frontier
+// fault (spill I/O, an undecodable record) stops the search the same way
+// and sets Result.Err instead. All worker goroutines, the progress ticker
+// and the context watcher have exited by the time ExploreCtx returns, and
+// spill temp files are removed; a stopped search leaks nothing and a rerun
+// from the same inputs produces the identical full Result.
 func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
@@ -428,39 +424,26 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 		workers = 1
 	}
 	ctx := newSearchCtx(initial, opts, maxStates, workers > 1)
+	q, err := newRecQueue(opts, &ctx.stats)
+	if err != nil {
+		return &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: maxStates, Engine: initial.Engine(), Err: err}
+	}
+	defer q.close()
 	stopWatch := watchCancel(cctx, ctx)
 	defer stopWatch()
 	visited := newVisited(opts, workers)
 	defer visited.release()
-	var seed expandScratch
-	visited.handle(0).Insert(ctx.encode(initial, &seed, nil))
+	var sc expandScratch
+	visited.handle(0).Insert(ctx.encode(initial, &sc, nil))
+	root := appendSpill(initial, nil)
 
-	var sq *spillQueue
-	if opts.SpillDir != "" && CanSpill(initial) {
-		var err error
-		if sq, err = newSpillQueue(opts.SpillDir, opts.SpillRing); err != nil {
-			panic(err.Error())
-		}
-		defer sq.close()
-	}
-
-	stopProgress := startProgress(ctx, visited, sq)
+	stopProgress := startProgress(ctx, visited, q)
 	var res *Result
 	if workers == 1 {
-		if sq != nil {
-			res = exploreSeqSpill(initial, ctx, visited, sq)
-		} else {
-			res = exploreSeq(initial, ctx, visited)
-		}
+		res = exploreSeq(initial, root, ctx, visited, q)
 	} else {
 		freezeComponents(initial)
-		var f workSource
-		if sq != nil {
-			f = newWSSpillFrontier(initial, ctx, sq, workers)
-		} else {
-			f = newWSFrontier(initial, ctx, workers)
-		}
-		res = exploreParallel(ctx, workers, visited, f)
+		res = exploreParallel(initial, ctx, workers, visited, newWSFrontier(ctx, q, workers, root))
 	}
 	stopProgress()
 	res.SymmetryPerms = ctx.canon.Perms()
@@ -478,18 +461,23 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 		res.Truncated = true
 		res.BudgetFull = true
 	}
-	if sq != nil {
+	if q.spills() {
 		res.Storage += "+spill"
-		res.SpilledStates = sq.spilledStates.Load()
-		res.SpilledBytes = sq.spilledBytes.Load()
+		res.SpilledStates = q.spilledStates.Load()
+		res.SpilledBytes = q.spilledBytes.Load()
+		res.PeakResident = ctx.stats.resident.peak.Load()
+		res.PeakFrontier = ctx.stats.frontier.peak.Load()
+	}
+	if res.Err = ctx.firstErr(); res.Err != nil {
+		res.Cancelled = false
 	}
 	return res
 }
 
 // watchCancel bridges a context's Done channel onto the search's polled
-// cancellation flag: the hot loops never select on a channel, they load
-// one atomic. The watcher goroutine exits when the context fires or when
-// the returned stop function runs (search finished first), so a completed
+// halt flag: the hot loops never select on a channel, they load one
+// atomic. The watcher goroutine exits when the context fires or when the
+// returned stop function runs (search finished first), so a completed
 // ExploreCtx leaves no goroutine behind. A context that can never be
 // cancelled (Background) spawns nothing.
 func watchCancel(cctx context.Context, ctx *searchCtx) func() {
@@ -497,7 +485,7 @@ func watchCancel(cctx context.Context, ctx *searchCtx) func() {
 		return func() {}
 	}
 	if cctx.Err() != nil { // already cancelled: skip the goroutine too
-		ctx.cancelled.Store(true)
+		ctx.halt.Store(true)
 		return func() {}
 	}
 	done := make(chan struct{})
@@ -506,7 +494,7 @@ func watchCancel(cctx context.Context, ctx *searchCtx) func() {
 		defer close(finished)
 		select {
 		case <-cctx.Done():
-			ctx.cancelled.Store(true)
+			ctx.halt.Store(true)
 		case <-done:
 		}
 	}()
@@ -518,7 +506,7 @@ func watchCancel(cctx context.Context, ctx *searchCtx) func() {
 
 // startProgress spawns the Options.OnProgress ticker goroutine and returns
 // its stop function (a no-op closure when progress is off).
-func startProgress(ctx *searchCtx, visited visitedSet, sq *spillQueue) func() {
+func startProgress(ctx *searchCtx, visited visitedSet, q *recQueue) func() {
 	if ctx.opts.ProgressEvery <= 0 || ctx.opts.OnProgress == nil {
 		return func() {}
 	}
@@ -539,17 +527,15 @@ func startProgress(ctx *searchCtx, visited visitedSet, sq *spillQueue) func() {
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				p := Progress{
-					Elapsed:    now.Sub(start),
-					Visited:    n,
-					Frontier:   int(ctx.stats.frontier.Load()),
-					LoadFactor: visited.load(),
-					HeapBytes:  ms.HeapAlloc,
+					Elapsed:       now.Sub(start),
+					Visited:       n,
+					Frontier:      int(ctx.stats.frontier.cur.Load()),
+					LoadFactor:    visited.load(),
+					SpilledStates: q.spilledStates.Load(),
+					HeapBytes:     ms.HeapAlloc,
 				}
 				if dt := now.Sub(lastT).Seconds(); dt > 0 {
 					p.StatesPerSec = float64(n-lastN) / dt
-				}
-				if sq != nil {
-					p.SpilledStates = sq.spilledStates.Load()
 				}
 				lastN, lastT = n, now
 				ctx.opts.OnProgress(p)
@@ -562,100 +548,79 @@ func startProgress(ctx *searchCtx, visited visitedSet, sq *spillQueue) func() {
 	}
 }
 
-// exploreSeq is the deterministic sequential breadth-first search.
-func exploreSeq(initial *System, ctx *searchCtx, visited visitedSet) *Result {
-	res := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
-	queue := []*System{initial}
-	ins := visited.handle(0)
-	var sc expandScratch
-
-	for head := 0; head < len(queue); head++ {
-		if visited.Size() > ctx.maxStates || visited.Full() {
-			res.Truncated = true
-			break
-		}
-		if ctx.cancelled.Load() {
-			res.Cancelled = true
-			break
-		}
-		cur := queue[head]
-		queue[head] = nil // release the expanded state (recycled or collected)
-		ins.Begin()
-		ctx.expand(cur, res, &sc, ins.Insert, func(next *System) {
-			queue = append(queue, ctx.claim(next, &sc))
-		})
-		ins.End()
-		if ctx.restore && cur != initial {
-			// Expanded states feed the claim pool; the caller-owned initial
-			// state is exempt so it is never handed back out as a copy.
-			sc.recycle(cur)
-		}
-		ctx.stats.frontier.Store(int64(len(queue) - head - 1))
+// decode loads a popped record into a worker's cursor, remembering its
+// segment offsets for the in-place successor restores.
+func (ctx *searchCtx) decode(cur *System, rec []byte, sc *expandScratch) error {
+	var err error
+	if sc.segs, err = decodeSpill(cur, rec, sc.segs); err != nil {
+		return fmt.Errorf("mcheck: frontier record: %w", err)
 	}
-	return res
+	return nil
 }
 
-// exploreSeqSpill is exploreSeq over the disk-spilling frontier: the queue
-// holds spill encodings instead of cloned Systems, rehydrated on pop into
-// one long-lived working copy of the initial state (the enqueue callback
-// encodes borrowed successors straight to bytes, so the search never
-// retains a System past its own expansion — the whole search runs on a
-// single rehydration target). Pop order is the same FIFO order, so
-// counts, outcomes and the first deadlock match exploreSeq exactly.
-func exploreSeqSpill(initial *System, ctx *searchCtx, visited visitedSet, sq *spillQueue) *Result {
+// exploreSeq is the deterministic sequential breadth-first search: one
+// FIFO of records (in memory or spilling, see recQueue) decoded one at a
+// time into a single cursor, a clone of the initial state. Admitted
+// successors are encoded straight to records, so the search never holds a
+// System beyond its cursor.
+func exploreSeq(initial *System, root []byte, ctx *searchCtx, visited visitedSet, q *recQueue) *Result {
 	res := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
 	cur := initial.Clone()
 	ins := visited.handle(0)
 	var sc expandScratch
-	sq.push(appendSpill(initial, nil))
-
+	enqueue := func(rec []byte) {
+		ctx.stats.admit(1)
+		if err := q.push(rec); err != nil {
+			ctx.fail(err)
+		}
+	}
+	enqueue(root)
 	for {
 		if visited.Size() > ctx.maxStates || visited.Full() {
 			res.Truncated = true
 			break
 		}
-		if ctx.cancelled.Load() {
+		if ctx.halt.Load() {
 			res.Cancelled = true
 			break
 		}
-		enc, ok := sq.pop()
+		rec, ok, err := q.pop()
+		if err != nil {
+			ctx.fail(err)
+			break
+		}
 		if !ok {
 			break
 		}
-		if err := decodeSpill(cur, enc); err != nil {
-			panic(err.Error())
+		ctx.stats.admit(-1)
+		if err := ctx.decode(cur, rec, &sc); err != nil {
+			ctx.fail(err)
+			break
 		}
 		ins.Begin()
-		ctx.expand(cur, res, &sc, ins.Insert, func(next *System) {
-			sc.spillBuf = appendSpill(next, sc.spillBuf[:0])
-			sq.push(append([]byte(nil), sc.spillBuf...))
+		ctx.expand(cur, rec, res, &sc, ins.Insert, func(next *System) {
+			sc.rec = appendSpill(next, sc.rec[:0])
+			enqueue(sc.rec)
 		})
 		ins.End()
-		ctx.stats.frontier.Store(int64(sq.len()))
 	}
 	return res
 }
 
-// expand processes one dequeued state: invariants, successor generation
-// (insert filters duplicates, enqueue receives the new ones) and
-// deadlock/outcome classification. Shared by both search modes.
+// expand processes the state decoded into cur from record img:
+// invariants, successor generation (insert filters duplicates, enqueue
+// receives the new ones) and deadlock/outcome classification. Shared by
+// both search loops.
 //
-// Successor generation has two strategies. When every component supports
-// the faithful spill codec (ctx.restore — every system this repo builds),
-// moves are applied to cur *in place*: the successor is encoded, handed
-// to enqueue *borrowed* only if the visited set actually admits it (the
-// callback must copy through searchCtx.claim before returning), and cur
-// is restored from its one-time spill image before the next move. Most
-// applied moves reach already-visited states, so this trades the full
-// clone per transition — the checker's dominant allocation and the GC
-// pressure behind it — for a cheap allocation-light in-place decode;
-// copies happen per *new* state instead of per transition, and claim
-// recycles expanded states so even those copies reuse prior allocations.
-// The restore is lazy (a stalled Apply leaves the system unchanged, so
-// only a progressed move dirties cur), which also means a state whose
-// moves all stall reaches classification untouched. The fallback strategy
-// clones ahead of every Apply and transfers ownership through the same
-// enqueue callback (claim passes the clone through).
+// Moves are applied to cur *in place*: the successor is encoded, handed to
+// enqueue *borrowed* only if the visited set actually admits it (the
+// callback encodes it to a frontier record before returning), and cur is
+// restored from img before the next move — re-decoding just the component
+// the move dirtied, plus memory, channels and cores. Most applied moves
+// reach already-visited states, so a transition costs a partial decode
+// instead of a clone. The restore is lazy (a stalled Apply leaves the
+// system unchanged, so only a progressed move dirties cur), which also
+// means a state whose moves all stall reaches classification untouched.
 //
 // With POR active, an ample subset is tried first: if any ample move
 // progressed, the remaining moves are pruned. No cycle proviso is needed:
@@ -670,7 +635,7 @@ func exploreSeqSpill(initial *System, ctx *searchCtx, visited visitedSet, sq *sp
 // choice is a pure function of the state — never of visit order or
 // visited-set contents — the reduced graph is a fixed subgraph and the
 // parallel reduced search reports the same counts as the sequential one.
-func (ctx *searchCtx) expand(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) {
+func (ctx *searchCtx) expand(cur *System, img []byte, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) {
 	res.States++
 	for _, inv := range ctx.opts.Invariants {
 		if err := inv(cur); err != nil {
@@ -679,138 +644,84 @@ func (ctx *searchCtx) expand(cur *System, res *Result, sc *expandScratch, insert
 	}
 
 	sc.moves = cur.AppendMoves(sc.moves[:0], ctx.opts.Evictions)
-	var progressed bool
-	if ctx.restore && len(sc.moves) > 0 {
-		progressed = ctx.successorsInPlace(cur, res, sc, insert, enqueue)
-	} else {
-		progressed = ctx.successorsCloned(cur, res, sc, insert, enqueue)
+	if len(sc.moves) > 0 && ctx.successorsInPlace(cur, img, res, sc, insert, enqueue) {
+		return
 	}
-
-	if !progressed {
-		if cur.Quiescent() {
-			o := ctx.outcome(cur)
-			res.Outcomes.Add(o)
-			if ctx.canon != nil {
-				ctx.orbitOutcomes(cur, res.Outcomes)
-			}
-		} else {
-			if ctx.canon != nil {
-				// Report the orbit size so the count matches the unreduced
-				// search, which visits every permuted sibling separately.
-				res.Deadlocks += ctx.canon.orbitSize(cur, &sc.canon)
-			} else {
-				res.Deadlocks++
-			}
-			if res.DeadlockAt == "" {
-				res.DeadlockAt = cur.Snapshot()
-			} else if ctx.parallel {
-				// Parallel visit order is nondeterministic; keeping the
-				// lexicographically least snapshot per worker (and across
-				// workers at merge) makes the diagnostic stable run-to-run.
-				if snap := cur.Snapshot(); snap < res.DeadlockAt {
-					res.DeadlockAt = snap
-				}
-			}
+	if cur.Quiescent() {
+		o := ctx.outcome(cur)
+		res.Outcomes.Add(o)
+		if ctx.canon != nil {
+			ctx.orbitOutcomes(cur, res.Outcomes)
+		}
+		return
+	}
+	if ctx.canon != nil {
+		// Report the orbit size so the count matches the unreduced search,
+		// which visits every permuted sibling separately.
+		res.Deadlocks += ctx.canon.orbitSize(cur, &sc.canon)
+	} else {
+		res.Deadlocks++
+	}
+	if res.DeadlockAt == "" {
+		res.DeadlockAt = cur.Snapshot()
+	} else if ctx.parallel {
+		// Parallel visit order is nondeterministic; keeping the
+		// lexicographically least snapshot per worker (and across workers
+		// at merge) makes the diagnostic stable run-to-run.
+		if snap := cur.Snapshot(); snap < res.DeadlockAt {
+			res.DeadlockAt = snap
 		}
 	}
 }
 
 // successorsInPlace generates cur's successors by mutating cur directly,
-// restoring it from its spill image between moves. Admitted successors
-// are handed to enqueue as cur itself — borrowed, valid only until the
-// callback returns — so the callback decides how to retain them (claim a
-// recycled copy, or encode to frontier bytes with no copy at all).
-// Requires CanSpill components (the codec contract is bijectivity, so the
-// restore is exact — including the incremental move cache, which is saved
-// by value and reinstated with the state bytes it described). Returns
-// whether any move progressed; when none did, cur was never dirtied and
-// is still the expanded state.
-func (ctx *searchCtx) successorsInPlace(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) bool {
-	sc.preImg, sc.preSegs = appendSpillSegs(cur, sc.preImg[:0], sc.preSegs)
+// restoring it from img between moves. Admitted successors are handed to
+// enqueue as cur itself — borrowed, valid only until the callback returns.
+// The codec contract is bijectivity, so the restore is exact — including
+// the incremental move cache, which is saved by value and reinstated with
+// the state bytes it described. Returns whether any move progressed; when
+// none did, cur was never dirtied and is still the expanded state. A failed
+// restore records the fault and reports progress, so the corrupt cursor is
+// never classified.
+func (ctx *searchCtx) successorsInPlace(cur *System, img []byte, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) bool {
 	mcSave := cur.mc
 	var dirtyMask uint64
-	markDirty := func() {
+	// try applies move i on a clean cursor and reports whether it
+	// progressed (or the restore failed, which ends the expansion).
+	try := func(i int) (progressed, ok bool) {
+		if dirtyMask != 0 {
+			if err := cur.restoreSegs(img, sc.segs, dirtyMask); err != nil {
+				ctx.fail(fmt.Errorf("mcheck: frontier record: %w", err))
+				return false, false
+			}
+			cur.mc = mcSave
+			dirtyMask = 0
+		}
+		if !cur.Apply(sc.moves[i]) {
+			return false, true
+		}
 		if t := cur.touched; t >= 0 && t < 64 {
 			dirtyMask |= uint64(1) << uint(t)
 		} else {
 			dirtyMask = ^uint64(0)
 		}
-	}
-	ensureClean := func() {
-		if dirtyMask == 0 {
-			return
-		}
-		if err := cur.restoreSegs(sc.preImg, sc.preSegs, dirtyMask); err != nil {
-			panic(err.Error())
-		}
-		cur.mc = mcSave
-		dirtyMask = 0
-	}
-	progressed := false
-	start := 0
-	if ctx.por && len(sc.moves) > 1 {
-		if amp := ctx.selectAmple(cur, sc); amp > 0 {
-			ampProgressed := false
-			for i := 0; i < amp; i++ {
-				ensureClean()
-				if !cur.Apply(sc.moves[i]) {
-					continue
-				}
-				markDirty()
-				ampProgressed = true
-				progressed = true
-				res.Transitions++
-				sc.encBuf = ctx.encode(cur, sc, sc.encBuf[:0])
-				if insert(sc.encBuf) {
-					enqueue(cur)
-				}
-			}
-			if ampProgressed {
-				res.PORReduced++
-				return true
-			}
-			start = amp // every ample move stalled: full expansion
-		}
-	}
-	for i, n := start, len(sc.moves); i < n; i++ {
-		ensureClean()
-		if !cur.Apply(sc.moves[i]) {
-			continue
-		}
-		markDirty()
-		progressed = true
 		res.Transitions++
 		sc.encBuf = ctx.encode(cur, sc, sc.encBuf[:0])
 		if insert(sc.encBuf) {
 			enqueue(cur)
 		}
+		return true, true
 	}
-	return progressed
-}
-
-// successorsCloned is the fallback successor strategy for systems without
-// the faithful codec: clone ahead of every Apply. The final enabled move
-// reuses cur's storage — once its successors are generated, an expanded
-// state is only read again when no move progressed, and a stalled Apply
-// leaves the system unchanged.
-func (ctx *searchCtx) successorsCloned(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) bool {
-	progressed := false
 	start := 0
 	if ctx.por && len(sc.moves) > 1 {
 		if amp := ctx.selectAmple(cur, sc); amp > 0 {
 			ampProgressed := false
 			for i := 0; i < amp; i++ {
-				next := cur.Clone() // cur must survive a possible fallback
-				if !next.Apply(sc.moves[i]) {
-					continue
+				p, ok := try(i)
+				if !ok {
+					return true
 				}
-				ampProgressed = true
-				progressed = true
-				res.Transitions++
-				sc.encBuf = ctx.encode(next, sc, sc.encBuf[:0])
-				if insert(sc.encBuf) {
-					enqueue(next)
-				}
+				ampProgressed = ampProgressed || p
 			}
 			if ampProgressed {
 				res.PORReduced++
@@ -819,214 +730,16 @@ func (ctx *searchCtx) successorsCloned(cur *System, res *Result, sc *expandScrat
 			start = amp // every ample move stalled: full expansion
 		}
 	}
-	for i, n := start, len(sc.moves); i < n; i++ {
-		next := cur
-		if i < n-1 {
-			next = cur.Clone()
+	progressed := false
+	for i := start; i < len(sc.moves); i++ {
+		p, ok := try(i)
+		if !ok {
+			return true
 		}
-		if !next.Apply(sc.moves[i]) {
-			continue
-		}
-		progressed = true
-		res.Transitions++
-		sc.encBuf = ctx.encode(next, sc, sc.encBuf[:0])
-		if insert(sc.encBuf) {
-			enqueue(next)
-		}
+		progressed = progressed || p
 	}
 	return progressed
 }
-
-// workSource is the parallel search's work distributor: the in-memory
-// work-stealing frontier (wsFrontier) or its disk-spilling counterpart
-// (wsSpillFrontier). Both shard the frontier into per-worker deques with
-// steal-half balancing — no shared queue mutex, no condition variable.
-type workSource interface {
-	// take hands worker w its next batch: popped from the worker's own
-	// deque when possible, stolen from a sibling otherwise. It spins down
-	// with a short backoff while siblings may still produce work and
-	// returns nil when the search is complete or stopped. sc is the
-	// worker's scratch: the spill frontier rehydrates into its recycled
-	// Systems instead of cloning fresh ones.
-	take(w int, sc *expandScratch) []*System
-	// admit buffers one admitted successor for worker w. next is borrowed —
-	// valid only for the duration of the call — so each frontier converts
-	// it to its own representation immediately: the in-memory frontier
-	// claims a (pool-recycled) copy, the spill frontier encodes it to
-	// bytes with no System copy at all.
-	admit(w int, sc *expandScratch, next *System)
-	// flush publishes worker w's buffered admissions onto w's own deque.
-	flush(w int)
-	// settle retires n expanded states from the outstanding-work count.
-	settle(n int)
-	// stop aborts the search (truncation).
-	stop()
-}
-
-// maxBatch caps how many states one take hands a worker.
-const maxBatch = 64
-
-// takeSpins is how many empty take sweeps merely yield before backing off
-// with a short sleep (idle workers poll: there is no condition variable).
-const takeSpins = 8
-
-// wsDeque is one worker's frontier deque: the owner pushes and pops at the
-// tail (depth-first-ish, cache-warm), thieves steal from the head — the
-// oldest, shallowest states, which tend to root the largest unexplored
-// subtrees. A plain mutex guards it: per-worker deques are uncontended
-// except during steals, and a mutex keeps the memory ordering honest on the
-// single-core runner this repo benchmarks on (a lock-free Chase–Lev deque
-// would buy nothing there).
-type wsDeque struct {
-	mu   sync.Mutex
-	buf  []*System
-	head int      // buf[head:] are live; the dead prefix is compacted lazily
-	_    [32]byte // pad deques apart: owner-written fields stay on one line
-}
-
-// popTail removes up to max (at most half the live entries, rounded up)
-// states from the tail, leaving the rest in place for thieves.
-func (d *wsDeque) popTail(max int) []*System {
-	d.mu.Lock()
-	n := len(d.buf) - d.head
-	if n == 0 {
-		d.mu.Unlock()
-		return nil
-	}
-	k := (n + 1) / 2
-	if k > max {
-		k = max
-	}
-	lo := len(d.buf) - k
-	batch := make([]*System, k)
-	copy(batch, d.buf[lo:])
-	for i := lo; i < len(d.buf); i++ {
-		d.buf[i] = nil // release to the collector
-	}
-	d.buf = d.buf[:lo]
-	d.mu.Unlock()
-	return batch
-}
-
-// stealHalf removes up to max (half the live entries, rounded up) states
-// from the head.
-func (d *wsDeque) stealHalf(max int) []*System {
-	d.mu.Lock()
-	n := len(d.buf) - d.head
-	if n == 0 {
-		d.mu.Unlock()
-		return nil
-	}
-	k := (n + 1) / 2
-	if k > max {
-		k = max
-	}
-	batch := make([]*System, k)
-	copy(batch, d.buf[d.head:d.head+k])
-	for i := d.head; i < d.head+k; i++ {
-		d.buf[i] = nil
-	}
-	d.head += k
-	d.compactLocked()
-	d.mu.Unlock()
-	return batch
-}
-
-// pushTail appends states at the owner's end.
-func (d *wsDeque) pushTail(states []*System) {
-	d.mu.Lock()
-	d.buf = append(d.buf, states...)
-	d.mu.Unlock()
-}
-
-// compactLocked reclaims the dead prefix once it dominates the buffer
-// (amortized O(1) per steal).
-func (d *wsDeque) compactLocked() {
-	if d.head < 64 || d.head*2 < len(d.buf) {
-		return
-	}
-	n := copy(d.buf, d.buf[d.head:])
-	for i := n; i < len(d.buf); i++ {
-		d.buf[i] = nil
-	}
-	d.buf = d.buf[:n]
-	d.head = 0
-}
-
-// wsFrontier distributes cloned Systems through per-worker deques with
-// steal-half balancing. Termination detection is one atomic outstanding-
-// work counter: push raises it before the states become visible and settle
-// lowers it only after their expansion completed, so the counter reaches
-// zero exactly when every deque is empty and no expansion is in flight —
-// a worker that sweeps every deque empty and then reads zero can exit.
-// Which worker expands which state is schedule-dependent, but the visited
-// set admits each state exactly once, so counts, outcomes and verdicts are
-// identical at any worker count (the determinism tests pin 1/2/4/8).
-type wsFrontier struct {
-	ctx     *searchCtx
-	stats   *searchStats
-	deques  []wsDeque
-	pend    [][]*System  // per-worker admit buffers, published by flush
-	work    atomic.Int64 // states pushed but not yet settled
-	queued  atomic.Int64 // states sitting in deques (frontier gauge)
-	stopped atomic.Bool
-}
-
-func newWSFrontier(initial *System, ctx *searchCtx, workers int) *wsFrontier {
-	f := &wsFrontier{ctx: ctx, deques: make([]wsDeque, workers),
-		pend: make([][]*System, workers), stats: &ctx.stats}
-	f.deques[0].buf = []*System{initial}
-	f.work.Store(1)
-	f.queued.Store(1)
-	return f
-}
-
-func (f *wsFrontier) take(w int, sc *expandScratch) []*System {
-	for spins := 0; ; spins++ {
-		if f.stopped.Load() {
-			return nil
-		}
-		if batch := f.deques[w].popTail(maxBatch); batch != nil {
-			f.taken(len(batch))
-			return batch
-		}
-		for i := 1; i < len(f.deques); i++ {
-			if batch := f.deques[(w+i)%len(f.deques)].stealHalf(maxBatch); batch != nil {
-				f.taken(len(batch))
-				return batch
-			}
-		}
-		if f.work.Load() == 0 {
-			return nil
-		}
-		idleWait(spins)
-	}
-}
-
-func (f *wsFrontier) taken(n int) {
-	f.stats.frontier.Store(f.queued.Add(int64(-n)))
-}
-
-func (f *wsFrontier) admit(w int, sc *expandScratch, next *System) {
-	f.pend[w] = append(f.pend[w], f.ctx.claim(next, sc))
-}
-
-func (f *wsFrontier) flush(w int) {
-	states := f.pend[w]
-	if len(states) == 0 {
-		return
-	}
-	f.work.Add(int64(len(states)))
-	f.deques[w].pushTail(states)
-	f.stats.frontier.Store(f.queued.Add(int64(len(states))))
-	for i := range states {
-		states[i] = nil
-	}
-	f.pend[w] = states[:0]
-}
-
-func (f *wsFrontier) settle(n int) { f.work.Add(int64(-n)) }
-func (f *wsFrontier) stop()        { f.stopped.Store(true) }
 
 // idleWait backs an empty-handed worker off: yield for the first sweeps
 // (another worker is likely mid-expansion), then sleep briefly so idle
@@ -1039,201 +752,11 @@ func idleWait(spins int) {
 	}
 }
 
-// wsByteDeque is wsDeque over spill encodings, consumed FIFO: the owner
-// and thieves both take from the head. Breadth-first consumption keeps the
-// frontier wide the way the sequential spill search does, so a search that
-// outgrows the ring genuinely overflows into the spill queue's wave files
-// instead of hiding its frontier in a handful of deep deques — the memory
-// bound SpillDir promises is a property of the ring, not of a lucky visit
-// order.
-type wsByteDeque struct {
-	mu   sync.Mutex
-	buf  [][]byte
-	head int
-	_    [32]byte
-}
-
-func (d *wsByteDeque) stealHalf(max int) [][]byte {
-	d.mu.Lock()
-	n := len(d.buf) - d.head
-	if n == 0 {
-		d.mu.Unlock()
-		return nil
-	}
-	k := (n + 1) / 2
-	if k > max {
-		k = max
-	}
-	batch := make([][]byte, k)
-	copy(batch, d.buf[d.head:d.head+k])
-	for i := d.head; i < d.head+k; i++ {
-		d.buf[i] = nil
-	}
-	d.head += k
-	d.compactLocked()
-	d.mu.Unlock()
-	return batch
-}
-
-// pushTail appends encodings at the tail and returns the oldest half of
-// the deque for the caller to spill when the live count exceeded limit
-// (ownership of the returned slices transfers to the caller).
-func (d *wsByteDeque) pushTail(encs [][]byte, limit int) [][]byte {
-	d.mu.Lock()
-	d.buf = append(d.buf, encs...)
-	var overflow [][]byte
-	if live := len(d.buf) - d.head; live > limit {
-		k := live / 2
-		overflow = make([][]byte, k)
-		copy(overflow, d.buf[d.head:d.head+k])
-		for i := d.head; i < d.head+k; i++ {
-			d.buf[i] = nil
-		}
-		d.head += k
-		d.compactLocked()
-	}
-	d.mu.Unlock()
-	return overflow
-}
-
-func (d *wsByteDeque) compactLocked() {
-	if d.head < 64 || d.head*2 < len(d.buf) {
-		return
-	}
-	n := copy(d.buf, d.buf[d.head:])
-	for i := n; i < len(d.buf); i++ {
-		d.buf[i] = nil
-	}
-	d.buf = d.buf[:n]
-	d.head = 0
-}
-
-// wsSpillFrontier is the disk-spilling work-stealing frontier: per-worker
-// deques hold spill encodings (encoded and rehydrated outside any lock),
-// each capped at SpillRing/workers live entries and consumed FIFO. On
-// overflow the oldest half migrates to the shared spillQueue (bounded
-// memory + wave files on disk, guarded by its own mutex since the queue
-// itself is not goroutine-safe); a worker that finds every deque empty
-// refills from the spill queue before concluding the search drained.
-// Frontier memory is therefore O(SpillRing) across the deques plus the
-// spill queue's own in-memory window, however wide the search gets.
-type wsSpillFrontier struct {
-	stats    *searchStats
-	template *System
-	deques   []wsByteDeque
-	pend     [][][]byte // per-worker admit buffers (spill encodings)
-	dequeCap int        // per-deque live-entry cap
-	spillMu  sync.Mutex
-	sq       *spillQueue
-	work     atomic.Int64
-	queued   atomic.Int64
-	stopped  atomic.Bool
-}
-
-func newWSSpillFrontier(initial *System, ctx *searchCtx, sq *spillQueue, workers int) *wsSpillFrontier {
-	ring := ctx.opts.SpillRing
-	if ring <= 0 {
-		ring = defaultSpillRing
-	}
-	dequeCap := ring / workers
-	if dequeCap < 64 {
-		dequeCap = 64
-	}
-	f := &wsSpillFrontier{sq: sq, template: initial.Clone(), stats: &ctx.stats,
-		deques: make([]wsByteDeque, workers), pend: make([][][]byte, workers),
-		dequeCap: dequeCap}
-	f.deques[0].buf = [][]byte{appendSpill(initial, nil)}
-	f.work.Store(1)
-	f.queued.Store(1)
-	return f
-}
-
-func (f *wsSpillFrontier) take(w int, sc *expandScratch) []*System {
-	for spins := 0; ; spins++ {
-		if f.stopped.Load() {
-			return nil
-		}
-		if encs := f.deques[w].stealHalf(maxBatch); encs != nil {
-			return f.rehydrate(encs, sc)
-		}
-		for i := 1; i < len(f.deques); i++ {
-			if encs := f.deques[(w+i)%len(f.deques)].stealHalf(maxBatch); encs != nil {
-				return f.rehydrate(encs, sc)
-			}
-		}
-		f.spillMu.Lock()
-		var encs [][]byte
-		for len(encs) < maxBatch {
-			enc, ok := f.sq.pop()
-			if !ok {
-				break
-			}
-			encs = append(encs, enc)
-		}
-		f.spillMu.Unlock()
-		if len(encs) > 0 {
-			return f.rehydrate(encs, sc)
-		}
-		if f.work.Load() == 0 {
-			return nil
-		}
-		idleWait(spins)
-	}
-}
-
-// rehydrate decodes a taken batch into the worker's recycled Systems,
-// cloning the pristine template only when the pool runs dry.
-func (f *wsSpillFrontier) rehydrate(encs [][]byte, sc *expandScratch) []*System {
-	f.stats.frontier.Store(f.queued.Add(int64(-len(encs))))
-	batch := make([]*System, len(encs))
-	for i, enc := range encs {
-		if n := len(sc.pool); n > 0 {
-			batch[i] = sc.pool[n-1]
-			sc.pool[n-1] = nil
-			sc.pool = sc.pool[:n-1]
-		} else {
-			batch[i] = f.template.Clone()
-		}
-		if err := decodeSpill(batch[i], enc); err != nil {
-			panic(err.Error())
-		}
-	}
-	return batch
-}
-
-func (f *wsSpillFrontier) admit(w int, sc *expandScratch, next *System) {
-	sc.spillBuf = appendSpill(next, sc.spillBuf[:0])
-	f.pend[w] = append(f.pend[w], append([]byte(nil), sc.spillBuf...))
-}
-
-func (f *wsSpillFrontier) flush(w int) {
-	encs := f.pend[w]
-	if len(encs) == 0 {
-		return
-	}
-	f.work.Add(int64(len(encs)))
-	overflow := f.deques[w].pushTail(encs, f.dequeCap)
-	if overflow != nil {
-		f.spillMu.Lock()
-		for _, enc := range overflow {
-			f.sq.push(enc)
-		}
-		f.spillMu.Unlock()
-	}
-	f.stats.frontier.Store(f.queued.Add(int64(len(encs))))
-	for i := range encs {
-		encs[i] = nil
-	}
-	f.pend[w] = encs[:0]
-}
-
-func (f *wsSpillFrontier) settle(n int) { f.work.Add(int64(-n)) }
-func (f *wsSpillFrontier) stop()        { f.stopped.Store(true) }
-
-// exploreParallel runs the worker-pool frontier search: workers pull
-// batches from a shared frontier, filter successors through the shared
-// visited set, and merge per-worker results at the end.
-func exploreParallel(ctx *searchCtx, workers int, visited visitedSet, f workSource) *Result {
+// exploreParallel runs the work-stealing search: each worker takes record
+// batches from the frontier, decodes them one by one into its own cursor
+// (a clone of the initial state), filters successors through the shared
+// visited set, and results merge at the end.
+func exploreParallel(initial *System, ctx *searchCtx, workers int, visited visitedSet, f *wsFrontier) *Result {
 	var truncated, cancelled atomic.Bool
 
 	results := make([]*Result, workers)
@@ -1242,43 +765,43 @@ func exploreParallel(ctx *searchCtx, workers int, visited visitedSet, f workSour
 		res := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
 		results[w] = res
 		ins := visited.handle(w)
+		cur := initial.Clone()
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			var sc expandScratch
-			for {
-				batch := f.take(w, &sc)
-				if batch == nil {
-					return
-				}
-				for bi, cur := range batch {
+			var batch recSlab
+			for f.take(w, &batch) {
+				n := batch.n
+				for rec, ok := batch.popFront(); ok; rec, ok = batch.popFront() {
 					if visited.Size() > ctx.maxStates || visited.Full() {
 						truncated.Store(true)
 						f.stop()
-						f.settle(len(batch))
+						f.settle(n)
 						return
 					}
-					if ctx.cancelled.Load() {
+					if ctx.halt.Load() {
 						// Same shutdown as truncation: stop the frontier so
-						// sibling workers' take returns nil, settle this
+						// sibling workers' take returns false, settle this
 						// batch, and let the merged result carry the flag.
 						cancelled.Store(true)
 						f.stop()
-						f.settle(len(batch))
+						f.settle(n)
+						return
+					}
+					if err := ctx.decode(cur, rec, &sc); err != nil {
+						f.fail(err)
+						f.settle(n)
 						return
 					}
 					ins.Begin()
-					ctx.expand(cur, res, &sc, ins.Insert, func(next *System) {
+					ctx.expand(cur, rec, res, &sc, ins.Insert, func(next *System) {
 						f.admit(w, &sc, next)
 					})
 					ins.End()
 					f.flush(w)
-					if ctx.restore && cur != ctx.initial {
-						batch[bi] = nil
-						sc.recycle(cur)
-					}
 				}
-				f.settle(len(batch))
+				f.settle(n)
 			}
 		}(w)
 	}

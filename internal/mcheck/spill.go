@@ -1,159 +1,162 @@
 package mcheck
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 )
 
-// spillQueue is the disk-spilling FIFO frontier: states are queued as their
-// compact spill encodings (decode.go) instead of cloned Systems, and only a
-// bounded window lives in memory — a head slice being consumed, a tail
-// slice being filled, and an ordered list of "wave" files holding
-// everything in between. When the tail reaches the ring capacity it is
-// flushed to a new wave file; when the head runs dry the oldest wave is
-// streamed back (or, with no waves on disk, head and tail swap). Frontier
-// memory is therefore O(ring), however wide the BFS gets.
+// recQueue is the FIFO frontier of the sequential search and the spill
+// backend of the parallel one. Without a spill directory it is one record
+// slab, pushed at the back and popped at the front. With one, only a
+// bounded window lives in memory — a head slab being consumed, a tail slab
+// being filled, and an ordered list of "wave" files holding everything in
+// between. When the tail reaches the ring capacity it is written to a new
+// wave file; when the head runs dry the oldest wave is read back (or, with
+// no waves on disk, head and tail swap). Frontier memory is therefore
+// O(ring), however wide the search gets.
 //
 // The queue is not goroutine-safe; the parallel search serializes access
-// through its frontier mutex. I/O errors are fatal to the search (a
-// half-lost frontier cannot produce a trustworthy verdict), reported by
-// panic with the failing path.
-type spillQueue struct {
-	dir     string // per-search temp directory, removed by close
-	ring    int    // max in-memory entries per window
-	head    [][]byte
-	headIdx int
-	tail    [][]byte
+// through its spill mutex. The first I/O error is sticky: every later push
+// and pop returns it, since a half-lost frontier cannot produce a
+// trustworthy verdict.
+type recQueue struct {
+	dir     string // per-search temp directory, removed by close ("" = memory only)
+	ring    int    // records per wave
+	wrap    func(io.Writer) io.Writer
+	stats   *searchStats
+	head    recSlab
+	tail    recSlab
 	files   []string // FIFO wave files, oldest first
+	onDisk  int      // records in wave files
 	fileSeq int
+	err     error
 
 	// Cumulative spill accounting, atomics so the progress ticker can read
-	// them while the search holds the frontier lock.
+	// them while the search runs.
 	spilledStates atomic.Int64
 	spilledBytes  atomic.Int64
 }
 
 // defaultSpillRing bounds the in-memory frontier window when
-// Options.SpillRing is zero: 32Ki entries per window (head + tail ≈ 64Ki
-// encodings in memory, a few MB at typical encoding sizes).
+// Options.SpillRing is zero: 32Ki records per window (head + tail ≈ 64Ki
+// records in memory, a few MB at typical record sizes).
 const defaultSpillRing = 1 << 15
 
-// newSpillQueue creates the queue's private temp directory under dir.
-func newSpillQueue(dir string, ring int) (*spillQueue, error) {
-	if ring <= 0 {
-		ring = defaultSpillRing
+// newRecQueue creates the search's FIFO: memory only when opts.SpillDir is
+// empty, otherwise spilling into a private temp directory under it.
+func newRecQueue(opts Options, stats *searchStats) (*recQueue, error) {
+	q := &recQueue{ring: opts.SpillRing, wrap: opts.SpillWriter, stats: stats}
+	if opts.SpillDir == "" {
+		return q, nil
 	}
-	d, err := os.MkdirTemp(dir, "hgspill-")
+	if q.ring <= 0 {
+		q.ring = defaultSpillRing
+	}
+	d, err := os.MkdirTemp(opts.SpillDir, "hgspill-")
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: spill dir: %w", err)
 	}
-	return &spillQueue{dir: d, ring: ring}, nil
+	q.dir = d
+	return q, nil
 }
 
+// spills reports whether the queue writes waves to disk.
+func (q *recQueue) spills() bool { return q.dir != "" }
+
 // close removes every spill file and the temp directory.
-func (q *spillQueue) close() {
+func (q *recQueue) close() {
 	if q.dir != "" {
 		os.RemoveAll(q.dir)
 		q.dir = ""
 	}
 }
 
-// len returns the number of queued states.
-func (q *spillQueue) len() int {
-	n := len(q.head) - q.headIdx + len(q.tail)
-	n += len(q.files) * q.ring // waves are flushed at exactly ring entries
-	return n
-}
+// len returns the number of queued records.
+func (q *recQueue) len() int { return q.head.n + q.tail.n + q.onDisk }
 
-// push enqueues enc, taking ownership of the slice (callers reusing an
-// encode buffer must pass a copy).
-func (q *spillQueue) push(enc []byte) {
-	q.tail = append(q.tail, enc)
-	if len(q.tail) >= q.ring {
-		q.flushWave()
+// push enqueues a copy of rec.
+func (q *recQueue) push(rec []byte) error {
+	if q.err != nil {
+		return q.err
 	}
+	if !q.spills() {
+		q.head.push(rec)
+		return nil
+	}
+	q.tail.push(rec)
+	if q.tail.n >= q.ring {
+		q.err = q.writeWave()
+	}
+	return q.err
 }
 
-// pop dequeues the oldest state. The returned slice stays valid until the
-// caller is done with it (it aliases a loaded wave buffer or a pushed
-// copy, never a reused scratch).
-func (q *spillQueue) pop() ([]byte, bool) {
-	if q.headIdx >= len(q.head) {
-		q.head = q.head[:0]
-		q.headIdx = 0
-		if len(q.files) > 0 {
-			q.loadWave()
-		} else {
-			q.head, q.tail = q.tail, q.head
+// pop dequeues the oldest record. The bytes stay valid until the next pop:
+// pushes never overwrite them.
+func (q *recQueue) pop() ([]byte, bool, error) {
+	if q.err != nil {
+		return nil, false, q.err
+	}
+	if rec, ok := q.head.popFront(); ok || !q.spills() {
+		return rec, ok, nil
+	}
+	q.head.reset()
+	if len(q.files) > 0 {
+		if q.err = q.readWave(); q.err != nil {
+			return nil, false, q.err
 		}
+	} else {
+		q.head, q.tail = q.tail, q.head
 	}
-	if q.headIdx >= len(q.head) {
-		return nil, false
-	}
-	enc := q.head[q.headIdx]
-	q.head[q.headIdx] = nil // release to the collector
-	q.headIdx++
-	return enc, true
+	rec, ok := q.head.popFront()
+	return rec, ok, nil
 }
 
-// flushWave writes the tail window to a new wave file: a stream of
-// uvarint-length-prefixed encodings.
-func (q *spillQueue) flushWave() {
+// writeWave writes the tail window to a new wave file.
+func (q *recQueue) writeWave() error {
 	path := filepath.Join(q.dir, fmt.Sprintf("wave-%08d.bin", q.fileSeq))
 	q.fileSeq++
 	f, err := os.Create(path)
 	if err != nil {
-		panic(fmt.Sprintf("mcheck: spill write %s: %v", path, err))
+		return fmt.Errorf("mcheck: spill write %s: %w", path, err)
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	var lenBuf [binary.MaxVarintLen64]byte
-	bytes := int64(0)
-	for _, enc := range q.tail {
-		n := binary.PutUvarint(lenBuf[:], uint64(len(enc)))
-		if _, err := w.Write(lenBuf[:n]); err == nil {
-			_, err = w.Write(enc)
-		}
-		if err != nil {
-			f.Close()
-			panic(fmt.Sprintf("mcheck: spill write %s: %v", path, err))
-		}
-		bytes += int64(n + len(enc))
+	var w io.Writer = f
+	if q.wrap != nil {
+		w = q.wrap(f)
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		panic(fmt.Sprintf("mcheck: spill write %s: %v", path, err))
+	bytes, err := q.tail.writeTo(w)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		panic(fmt.Sprintf("mcheck: spill write %s: %v", path, err))
+	if err != nil {
+		return fmt.Errorf("mcheck: spill write %s: %w", path, err)
 	}
-	q.spilledStates.Add(int64(len(q.tail)))
-	q.spilledBytes.Add(bytes)
+	n := q.tail.n
 	q.files = append(q.files, path)
-	q.tail = q.tail[:0]
+	q.onDisk += n
+	q.stats.resident.add(-n)
+	q.spilledStates.Add(int64(n))
+	q.spilledBytes.Add(bytes)
+	q.tail.reset()
+	return nil
 }
 
-// loadWave streams the oldest wave file back into the head window. Entries
-// alias one contiguous buffer — no per-entry copy.
-func (q *spillQueue) loadWave() {
+// readWave reads the oldest wave file back into the head window; its
+// records alias the file's buffer, with no per-record copy.
+func (q *recQueue) readWave() error {
 	path := q.files[0]
 	q.files = q.files[1:]
 	buf, err := os.ReadFile(path)
-	if err != nil {
-		panic(fmt.Sprintf("mcheck: spill read %s: %v", path, err))
-	}
 	os.Remove(path)
-	off := 0
-	for off < len(buf) {
-		n, w := binary.Uvarint(buf[off:])
-		if w <= 0 || off+w+int(n) > len(buf) {
-			panic(fmt.Sprintf("mcheck: spill read %s: corrupt record at offset %d", path, off))
+	if err == nil {
+		var n int
+		if n, err = q.head.load(buf); err == nil {
+			q.onDisk -= n
+			q.stats.resident.add(n)
+			return nil
 		}
-		off += w
-		q.head = append(q.head, buf[off:off+int(n):off+int(n)])
-		off += int(n)
 	}
+	return fmt.Errorf("mcheck: spill read %s: %w", path, err)
 }

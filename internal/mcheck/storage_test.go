@@ -253,25 +253,31 @@ func TestSternDillOmission(t *testing.T) {
 // behind on close.
 func TestSpillQueueFIFO(t *testing.T) {
 	dir := t.TempDir()
-	q, err := newSpillQueue(dir, 8)
+	q, err := newRecQueue(Options{SpillDir: dir, SpillRing: 8}, new(searchStats))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 1000
 	payload := func(i int) []byte { return []byte(fmt.Sprintf("state-%04d-%s", i, strings.Repeat("x", i%17))) }
+	pop := func(next int) {
+		t.Helper()
+		enc, ok, err := q.pop()
+		if err != nil || !ok {
+			t.Fatalf("pop %d: ok=%t err=%v with %d queued", next, ok, err, q.len())
+		}
+		if !bytes.Equal(enc, payload(next)) {
+			t.Fatalf("pop %d: got %q, want %q", next, enc, payload(next))
+		}
+	}
 	next := 0
 	// Interleave pushes and pops so head, tail and wave files all carry
 	// entries at some point.
 	for i := 0; i < n; i++ {
-		q.push(payload(i))
+		if err := q.push(payload(i)); err != nil {
+			t.Fatal(err)
+		}
 		if i%3 == 2 {
-			enc, ok := q.pop()
-			if !ok {
-				t.Fatalf("pop %d: queue empty with %d queued", next, q.len())
-			}
-			if !bytes.Equal(enc, payload(next)) {
-				t.Fatalf("pop %d: got %q, want %q", next, enc, payload(next))
-			}
+			pop(next)
 			next++
 		}
 	}
@@ -282,16 +288,10 @@ func TestSpillQueueFIFO(t *testing.T) {
 		t.Fatal("ring of 8 never spilled a wave to disk")
 	}
 	for ; next < n; next++ {
-		enc, ok := q.pop()
-		if !ok {
-			t.Fatalf("pop %d: queue dry early", next)
-		}
-		if !bytes.Equal(enc, payload(next)) {
-			t.Fatalf("pop %d: got %q, want %q", next, enc, payload(next))
-		}
+		pop(next)
 	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("pop succeeded on a drained queue")
+	if _, ok, err := q.pop(); ok || err != nil {
+		t.Fatalf("pop on a drained queue: ok=%t err=%v", ok, err)
 	}
 	spillDir := q.dir
 	q.close()
@@ -314,15 +314,12 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 		{{Op: spec.OpStore, Addr: 0, Value: 1}, {Op: spec.OpLoad, Addr: 1}, {Op: spec.OpRelease}},
 		{{Op: spec.OpStore, Addr: 1, Value: 2}, {Op: spec.OpLoad, Addr: 0}, {Op: spec.OpAcquire}},
 	})
-	if !CanSpill(sys) {
-		t.Fatal("homogeneous MESI system does not support spilling")
-	}
 	template := sys.Clone()
 	roundTrip := func(cur *System) {
 		t.Helper()
 		enc := appendSpill(cur, nil)
 		clone := template.Clone()
-		if err := decodeSpill(clone, enc); err != nil {
+		if _, err := decodeSpill(clone, enc, nil); err != nil {
 			t.Fatalf("decode: %v\nstate: %s", err, cur.Snapshot())
 		}
 		re := appendSpill(clone, nil)
@@ -408,7 +405,7 @@ func assertAgrees(t *testing.T, label string, got, want *Result) {
 
 // TestStorageModesAgreeLitmus: on MP, SB and IRIW, every storage mode —
 // hash compaction, bitstate, and both with the disk-spilling frontier
-// (ring forced down to 64 so waves really hit disk) — must visit exactly
+// (ring forced down to 64, within its memory bound) — must visit exactly
 // the state set of the exact search, sequentially and with a worker pool.
 // 64-bit fingerprints (and a near-empty Bloom filter) make a collision at
 // these state counts vanishingly unlikely, so exact agreement is the
@@ -446,8 +443,8 @@ func TestStorageModesAgreeLitmus(t *testing.T) {
 						if !strings.HasSuffix(res.Storage, "+spill") {
 							t.Errorf("%s workers=%d: storage label %q lost the spill marker", mode.name, w, res.Storage)
 						}
-						if res.SpilledStates == 0 && res.States > 200 {
-							t.Errorf("%s workers=%d: ring of 64 never spilled (%d states)", mode.name, w, res.States)
+						if err := CheckSpillBound(res, 64, w); err != nil {
+							t.Errorf("%s workers=%d: %v", mode.name, w, err)
 						}
 					}
 				}

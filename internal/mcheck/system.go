@@ -92,6 +92,11 @@ type System struct {
 	// System itself is goroutine-confined — which the searches guarantee.
 	dec       spec.Dec
 	decIntern *spec.Intern
+	// msgArena backs every channel queue a decode rebuilds (decode.go),
+	// reused decode after decode; Clone starts its copy without one.
+	msgArena []spec.Msg
+	// envc caches env's Env so Apply does not allocate one per move.
+	envc spec.Env
 
 	// touched is the component index the last successful Apply mutated
 	// (-1 when unrouted). Only meaningful immediately after Apply returns
@@ -165,8 +170,8 @@ func (s *System) noteMutation(ci int) {
 }
 
 // invalidateMoveCache drops every memoized enabled-move bit. Entry points
-// that mutate state outside Apply (program attachment, cache warming, spill
-// rehydration) must call it.
+// that mutate state outside Apply (program attachment, cache warming,
+// frontier record decodes) must call it.
 func (s *System) invalidateMoveCache() {
 	s.mc = moveCache{disabled: s.mc.disabled}
 }
@@ -274,11 +279,29 @@ func (s *System) send(m spec.Msg) {
 	}
 	s.chans = append(s.chans, chanState{})
 	copy(s.chans[i+1:], s.chans[i:])
-	s.chans[i] = chanState{k: k, msgs: []spec.Msg{m}}
+	s.chans[i] = chanState{k: k, msgs: s.newQueue(m)}
+}
+
+// newQueue returns a one-message channel queue, carved from the spare
+// room of the message arena when there is some.
+func (s *System) newQueue(m spec.Msg) []spec.Msg {
+	n := len(s.msgArena)
+	if n+1+chanSlack > cap(s.msgArena) {
+		return []spec.Msg{m}
+	}
+	s.msgArena = s.msgArena[:n+1+chanSlack]
+	q := s.msgArena[n : n+1 : n+1+chanSlack]
+	q[0] = m
+	return q
 }
 
 // env returns an Env that enqueues onto this system.
-func (s *System) env() spec.Env { return spec.EnvFunc(s.send) }
+func (s *System) env() spec.Env {
+	if s.envc == nil {
+		s.envc = spec.EnvFunc(s.send)
+	}
+	return s.envc
+}
 
 // Clone deep-copies the system. The route table is shared (immutable), the
 // cores copy through one backing array, and every in-flight message copies

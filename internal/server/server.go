@@ -11,6 +11,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -50,6 +51,10 @@ type Config struct {
 	ProgressEvery time.Duration
 	// Logger receives the structured server log (nil = slog.Default).
 	Logger *slog.Logger
+
+	// spillWriter wraps every job's spill wave writers (engine.Hooks):
+	// the fault-injection seam the server tests fail disks with.
+	spillWriter func(io.Writer) io.Writer
 }
 
 // Server is the daemon state shared by the worker pool and the handlers.
@@ -153,7 +158,8 @@ func (s *Server) run(j *Job) {
 			log.Info("table ready", "fusion", name, "source", stats.Source,
 				"extract_states", stats.ExtractStates)
 		},
-		MemPool: s.pool,
+		MemPool:     s.pool,
+		SpillWriter: s.cfg.spillWriter,
 	}
 
 	var result any

@@ -5,11 +5,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -319,4 +323,54 @@ func TestWorkerBudgetClamp(t *testing.T) {
 	if got := srv2.applyPolicy(engine.SearchOptions{}).SpillDir; got != "" {
 		t.Errorf("spill imposed on a request that declined it: %q", got)
 	}
+}
+
+// fullDisk fails every write with ENOSPC once limit bytes have landed.
+type fullDisk struct {
+	w       io.Writer
+	written *atomic.Int64
+	limit   int64
+}
+
+func (f fullDisk) Write(p []byte) (int, error) {
+	if f.written.Add(int64(len(p))) > f.limit {
+		return 0, syscall.ENOSPC
+	}
+	return f.w.Write(p)
+}
+
+// TestSpillFaultFailsJob: a check job whose spill disk fills mid-wave ends
+// "failed" with the fault as its error, at one and four search workers,
+// and the daemon survives it: no spill file is left behind, /healthz
+// answers, and the next job completes. MESI with three caches and two
+// addresses outgrows the default 32Ki-record spill ring within a second.
+func TestSpillFaultFailsJob(t *testing.T) {
+	var written atomic.Int64
+	root := t.TempDir()
+	_, ts := testServer(t, Config{JobWorkers: 1, SpillRoot: root,
+		spillWriter: func(w io.Writer) io.Writer { return fullDisk{w, &written, 1 << 20} }})
+	for _, workers := range []int{1, 4} {
+		written.Store(0)
+		id := postJob(t, ts, fmt.Sprintf(`{"check":{"protocol":"MESI","caches":3,"addrs":2,
+			"search":{"workers":%d,"hash":true,"max_states":2000000,"spill_dir":"spill"}}}`, workers))
+		m := waitState(t, ts, id, StateFailed)
+		var msg string
+		json.Unmarshal(m["error"], &msg)
+		if !strings.Contains(msg, syscall.ENOSPC.Error()) {
+			t.Fatalf("workers=%d: failed job's error %q does not name the full disk", workers, msg)
+		}
+	}
+	if left, _ := os.ReadDir(root); len(left) != 0 {
+		t.Fatalf("failed jobs left %d entries in the spill root", len(left))
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after a failed job: status %d", resp.StatusCode)
+	}
+	id := postJob(t, ts, `{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1}}}`)
+	waitState(t, ts, id, StateDone)
 }

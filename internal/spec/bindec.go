@@ -7,10 +7,10 @@ import (
 
 // This file implements the inverse of binenc.go: a cursor-based reader for
 // the compact binary encoding, and a faithful per-component state codec the
-// model checker's disk-spilling frontier uses to rehydrate states.
+// model checker's frontier stores and decodes queued states with.
 //
 // The visited-set encoding (AppendBinary) only needs to be injective; the
-// spill codec additionally needs to be *bijective* — decoding must rebuild
+// state codec additionally needs to be *bijective* — decoding must rebuild
 // the exact component state, including derived fields a host may omit from
 // its visited key. For CacheInst, DirInst and Memory the two coincide, so
 // AppendState simply reuses AppendBinary. Hosts whose AppendBinary drops
@@ -166,13 +166,13 @@ func (d *Dec) String() string {
 	return string(b)
 }
 
-// StateCodec is implemented by components whose state can be serialized to a
-// compact byte string and rebuilt exactly. AppendState must be bijective
-// over reachable states: DecodeState applied to AppendState's output on a
-// structurally-identical receiver (same ids, same protocol, same topology —
-// e.g. a Clone of the initial system's component) must reproduce the source
-// state field for field. The disk-spilling frontier round-trips every
-// spilled state through this codec.
+// StateCodec serializes a component's state to a compact byte string and
+// rebuilds it exactly; every Component implements it. AppendState must be
+// bijective over reachable states: DecodeState applied to AppendState's
+// output on a structurally-identical receiver (same ids, same protocol,
+// same topology — e.g. a Clone of the initial system's component) must
+// reproduce the source state field for field. The model checker's frontier
+// round-trips every queued state through this codec.
 type StateCodec interface {
 	AppendState(buf []byte) []byte
 	DecodeState(d *Dec) error

@@ -25,6 +25,10 @@ type Component interface {
 	Clone() Component
 	// Snapshot appends a canonical encoding of the component's state.
 	Snapshot(b *SnapshotWriter)
+	// StateCodec is the faithful byte form of the component's mutable
+	// state: the model checker's frontier holds every queued state as
+	// these bytes and decodes them back into a working copy.
+	StateCodec
 }
 
 // SnapshotWriter accumulates canonical state encodings for hashing.
