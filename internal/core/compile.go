@@ -22,14 +22,12 @@ import (
 //
 // Extraction is reachability-driven: the fusion is instantiated for one
 // concrete machine configuration (CompileConfig) and the model checker
-// exhaustively explores it with an observer hooked into MergedDir.Deliver.
-// The observer interns every (directory state, shared memory) pair it is
-// about to transition from, replays the interpreted deliver, and records
-// the outcome — successor state, messages sent, whether memory changed, or
-// a stall — keyed by (interned state, message). Exploration runs with
-// partial order reduction off and symmetry off so every reachable
-// (state, message) pair is covered; the resulting table is total over the
-// compiled configuration by construction.
+// exhaustively explores it, with the merged directory swapped for the
+// table-index directory of extract.go, which interprets each distinct
+// (state, message) pair once and replays it from the growing table after.
+// Exploration runs with partial order reduction off and symmetry off so
+// every reachable (state, message) pair is covered; the resulting table is
+// total over the compiled configuration by construction.
 //
 // After extraction the recorded transitions are finalized into a dense
 // layout: every interned state owns a contiguous, message-sorted span of
@@ -59,9 +57,11 @@ import (
 //
 // Soundness: the interpreted composite stays the oracle. Whenever the
 // compiled table is asked for a (state, message) pair the extraction never
-// saw — a configuration mismatch — CompiledDir panics rather than guessing,
-// and re-recording a pair with a conflicting outcome fails compilation
-// (it would mean the binary state encoding is not injective over reachable
+// saw — a configuration mismatch — CompiledDir reports ErrTableMiss as a
+// fault through the host's spec.FaultEnv rather than guessing, and
+// extraction fails compilation when two distinct directory states share
+// one interned key or a pair is recorded with conflicting outcomes (either
+// would mean the binary state encoding is not injective over reachable
 // states, the property the visited set already relies on).
 
 // Engine labels name the directory-evaluation strategy of a system, carried
@@ -97,13 +97,14 @@ type CompileConfig struct {
 	Workers int
 	// NoMemo disables memoized extraction: every delivery re-runs the
 	// interpreted MergedDir instead of replaying the recorded outcome once
-	// its (state, message) pair is in the table. The interpreted path
-	// re-records every revisited pair, which double-checks that the binary
-	// state encoding is injective over reachable states — the property
-	// memoized replay (like the visited set) relies on. The determinism
-	// tests compile both ways and pin byte-identical artifacts. Excluded
-	// from the artifact digest: memoization changes how the table is
-	// extracted, never what is extracted.
+	// its (state, message) pair is in the table. Every successor is then
+	// interned afresh, which checks its exact spill image against the one
+	// already stored under the same (encoding, memory) key — that the binary
+	// state encoding is injective over reachable states, the property the
+	// table-index directory (like the visited set) relies on. The
+	// determinism tests compile both ways and pin byte-identical artifacts.
+	// Excluded from the artifact digest: memoization changes how the table
+	// is extracted, never what is extracted.
 	NoMemo bool
 	// WarmSeed, when non-nil, seeds extraction from a compatible existing
 	// table (LoadWarmSeed): transitions already recorded for a matching
@@ -136,11 +137,27 @@ var ErrCompileTruncated = errors.New("core: compile extraction truncated")
 
 // ErrCompileCancelled marks a CompileCtx failure caused by context
 // cancellation mid-extraction. A partial table is never returned — unlike
-// a partial search Result, a partial transition table would silently
-// panic on the first unseen (state, message) pair. Detectable with
+// a partial search Result, a partial transition table would fail on the
+// first unseen (state, message) pair. Detectable with
 // errors.Is; the wrapped chain also matches the context's own error
 // (context.Canceled or DeadlineExceeded).
 var ErrCompileCancelled = errors.New("core: compile extraction cancelled")
+
+// ErrTableMiss is the fault a compiled table reports when a delivery has
+// no recorded entry — the checked configuration does not match the
+// CompileConfig the table was extracted under. CompiledDir reports it
+// through the host's spec.FaultEnv, so a model-checker run ends with it as
+// mcheck.Result.Err; detect it with errors.As.
+type ErrTableMiss struct {
+	Fusion string
+	State  int32
+	Msg    spec.Msg
+}
+
+func (e *ErrTableMiss) Error() string {
+	return fmt.Sprintf("core: compiled table for %s has no entry for state %d on %s — the checked configuration does not match the CompileConfig",
+		e.Fusion, e.State, e.Msg)
+}
 
 // CompileStats reports where a CompiledFusion came from and what each
 // phase cost — the extraction search and dense-table finalization for a
@@ -163,6 +180,12 @@ type CompileStats struct {
 	Extract time.Duration
 	// ExtractStates counts the system states the extraction visited.
 	ExtractStates int
+	// ExtractTransitions, ExtractBytesPerState and ExtractPeakLoad copy
+	// the extraction search's mcheck.Result: moves applied, visited-set
+	// bytes per state and peak visited-table load (0 in exact storage).
+	ExtractTransitions   int
+	ExtractBytesPerState float64
+	ExtractPeakLoad      float64
 	// Interpreted counts the deliveries that ran the interpreted
 	// MergedDir during extraction — with memoization on, exactly one per
 	// distinct (state, message) pair the warm seed didn't cover.
@@ -197,8 +220,13 @@ func (s CompileStats) String() string {
 		if s.WarmHits > 0 {
 			deliveries += fmt.Sprintf(", %d warm from a %d-state seed", s.WarmHits, s.WarmStates)
 		}
-		return fmt.Sprintf("extract %s (%d states; %s) + finalize %s",
-			s.Extract.Round(10*time.Millisecond), s.ExtractStates, deliveries,
+		search := fmt.Sprintf("%d states, %d transitions, %.1f B/state", s.ExtractStates,
+			s.ExtractTransitions, s.ExtractBytesPerState)
+		if s.ExtractPeakLoad > 0 {
+			search += fmt.Sprintf(", peak load %.2f", s.ExtractPeakLoad)
+		}
+		return fmt.Sprintf("extract %s (%s; %s) + finalize %s",
+			s.Extract.Round(10*time.Millisecond), search, deliveries,
 			s.Finalize.Round(time.Millisecond))
 	}
 }
@@ -218,16 +246,6 @@ type compState struct {
 	// relab holds the relabeled encoding per permutation (relab[0] aliases
 	// enc); nil when the group is trivial.
 	relab [][]byte
-}
-
-// compTransition is one recorded outcome: the successor state, the
-// messages the interpreted deliver sent (replayed in order), and whether
-// the shared memory changed (the successor's memory image is installed
-// wholesale).
-type compTransition struct {
-	next  int32
-	sends []spec.Msg
-	remem bool
 }
 
 // compEntry is one finalized dense-table entry: the triggering message
@@ -296,7 +314,7 @@ func newCompiledFusion(f *Fusion, cfg CompileConfig) (*CompiledFusion, *mcheck.S
 		porLocal:  layout.Merged.PORLocal(),
 		stable:    map[string]bool{},
 	}
-	cf.template = sys.Clone() // no observer: System() clones stay interpreted-free
+	cf.template = sys.Clone()
 	cf.initLocal = layout.Merged.LocalState(0)
 	cf.stable[cf.initLocal] = layout.Merged.localStable(0)
 	cf.buildPerms()
@@ -304,9 +322,9 @@ func newCompiledFusion(f *Fusion, cfg CompileConfig) (*CompiledFusion, *mcheck.S
 }
 
 // Compile lowers f into a flat transition table for the given
-// configuration by exhaustively exploring the interpreted composite with
-// an extraction observer installed on the merged directory, then
-// finalizing the recorded transitions into the dense dispatch layout.
+// configuration by exhaustively exploring the composite through the
+// table-index extraction directory, then finalizing the recorded
+// transitions into the dense dispatch layout.
 func Compile(f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 	return CompileCtx(context.Background(), f, cfg)
 }
@@ -318,19 +336,16 @@ func Compile(f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 	start := time.Now()
 	cf, sys := newCompiledFusion(f, cfg)
-	c := &compiler{cf: cf, keys: map[string]int32{}, seen: map[string]int32{},
-		memo: !cfg.NoMemo}
 	if cfg.WarmSeed != nil {
 		if got := WarmDigest(f, cfg); got != cfg.WarmSeed.digest {
 			return nil, fmt.Errorf("%w: warm seed %q (digest %s…) is not compatible with %s (digest %s…)",
 				ErrArtifactMismatch, cfg.WarmSeed.name, cfg.WarmSeed.digest[:8], f.Name(), got[:8])
 		}
-		c.seed = cfg.WarmSeed
 	}
-	// Intern the initial directory state first: CompiledDir starts at
-	// index 0.
-	c.intern(cf.layout.Merged)
-	cf.layout.Merged.obs = c
+	c := newCompiler(cf, cfg)
+	if err := sys.SwapComponent(cf.mergedIdx, c.root(sys.Mem)); err != nil {
+		return nil, err
+	}
 
 	res := mcheck.ExploreCtx(ctx, sys, mcheck.Options{
 		Evictions: cfg.Evictions, MaxStates: cfg.MaxStates,
@@ -341,7 +356,6 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 		// may later need. Deadlocks are fine — the table must reproduce them.
 		POR: mcheck.POROff,
 	})
-	cf.layout.Merged.obs = nil
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -357,39 +371,44 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 	cf.explored = res.States
 	cf.stats.Extract = time.Since(start)
 	cf.stats.ExtractStates = res.States
+	cf.stats.ExtractTransitions = res.Transitions
+	cf.stats.ExtractBytesPerState = res.BytesPerState
+	cf.stats.ExtractPeakLoad = res.PeakLoadFactor
 	cf.stats.Interpreted = c.interpreted
-	cf.stats.MemoHits = c.memoHits
 	cf.stats.WarmHits = c.warmHits
+	for _, d := range c.dirs {
+		cf.stats.MemoHits += d.hits
+	}
 	if c.seed != nil {
 		cf.stats.WarmStates = len(c.seed.spills)
 	}
 
 	finalizeStart := time.Now()
-	cf.finalize(c)
+	cf.finalize(c.drain())
 	cf.stats.Finalize = time.Since(finalizeStart)
 	cf.stats.Source = SourceCompiler
 	return cf, nil
 }
 
-// finalize turns the compiler's recorded transitions into the dense
+// finalize turns the extraction's recorded transitions into the dense
 // per-state spans: states renumbered into their canonical order, records
 // sorted by (pre-state, message order), entries laid out contiguously per
 // state, sends flattened into the shared pool, and the projected FSM
 // derived from the records and sorted into its canonical rendering order.
-func (cf *CompiledFusion) finalize(c *compiler) {
-	cf.renumber(c)
-	sort.Slice(c.recs, func(i, j int) bool {
-		a, b := &c.recs[i], &c.recs[j]
+func (cf *CompiledFusion) finalize(recs []compRecord) {
+	cf.renumber(recs)
+	sort.Slice(recs, func(i, j int) bool {
+		a, b := &recs[i], &recs[j]
 		if a.pre != b.pre {
 			return a.pre < b.pre
 		}
-		return msgCmp(a.msg, b.msg) < 0
+		return msgCmp(&a.msg, &b.msg) < 0
 	})
-	cf.entries = make([]compEntry, 0, len(c.recs))
+	cf.entries = make([]compEntry, 0, len(recs))
 	cf.stateOff = make([]int32, len(cf.states)+1)
 	next := int32(0)
-	for i := range c.recs {
-		r := &c.recs[i]
+	for i := range recs {
+		r := &recs[i]
 		for next <= r.pre {
 			cf.stateOff[next] = int32(len(cf.entries))
 			next++
@@ -403,7 +422,7 @@ func (cf *CompiledFusion) finalize(c *compiler) {
 		cf.stateOff[next] = int32(len(cf.entries))
 		next++
 	}
-	cf.projectFSM(c.recs)
+	cf.projectFSM(recs)
 }
 
 // renumber rewrites the interned state indices into a canonical order:
@@ -414,7 +433,7 @@ func (cf *CompiledFusion) finalize(c *compiler) {
 // short-circuited — so canonical numbering is what makes the finalized
 // table, and therefore the artifact bytes, identical across worker
 // counts, memo on/off and warm starts (the determinism tests pin this).
-func (cf *CompiledFusion) renumber(c *compiler) {
+func (cf *CompiledFusion) renumber(recs []compRecord) {
 	n := len(cf.states)
 	if n <= 2 {
 		return
@@ -438,8 +457,8 @@ func (cf *CompiledFusion) renumber(c *compiler) {
 		states[i+1] = cf.states[old]
 	}
 	cf.states = states
-	for i := range c.recs {
-		r := &c.recs[i]
+	for i := range recs {
+		r := &recs[i]
 		r.pre = remap[r.pre]
 		if r.tr.next != stallState {
 			r.tr.next = remap[r.tr.next]
@@ -449,9 +468,8 @@ func (cf *CompiledFusion) renumber(c *compiler) {
 
 // projectFSM derives the per-address local-state projection (the Table II
 // machine) from the finalized records, decoding each referenced state's
-// exact spill image once — instead of building LocalState strings inline
-// on every extraction delivery as the pre-memoization observer did. The
-// projection over records equals the projection over deliveries because a
+// exact spill image once rather than building LocalState strings on every
+// extraction delivery. The projection over records equals the projection over deliveries because a
 // (state, message) pair determines its successor: every successful
 // delivery contributes the edge its record contributes.
 func (cf *CompiledFusion) projectFSM(recs []compRecord) {
@@ -525,7 +543,7 @@ func (cf *CompiledFusion) projectFSM(recs []compRecord) {
 // cheap integer fields first so the string compare only runs when every
 // endpoint and payload field ties. It is both the finalized span order and
 // the binary-search comparison in CompiledDir.Deliver.
-func msgCmp(a, b spec.Msg) int {
+func msgCmp(a, b *spec.Msg) int {
 	switch {
 	case a.Addr != b.Addr:
 		if a.Addr < b.Addr {
@@ -719,16 +737,15 @@ func (cf *CompiledFusion) Explored() int { return cf.explored }
 // Table II artifact. Shared with the Recorder's rendering path.
 func (cf *CompiledFusion) FlatFSM() *FlatFSM { return cf.fsm }
 
-// snapOf returns the interpreted snapshot of an interned state,
+// snapshot returns the interpreted snapshot of an interned state,
 // reconstructing it on first use by decoding the state's exact spill-codec
 // image into the pristine scratch directory (the spill codec is bijective,
 // so the reconstructed bytes equal what the interpreted component would
 // print). Lazy reconstruction keeps the fmt-heavy snapshot path off the
 // extraction hot loop entirely.
-func (cf *CompiledFusion) snapOf(idx int32) string {
+func (cf *CompiledFusion) snapshot(idx int32, st *compState) string {
 	cf.snapMu.Lock()
 	defer cf.snapMu.Unlock()
-	st := &cf.states[idx]
 	if st.snap == "" {
 		if err := cf.scratch.DecodeState(spec.NewDec(st.spill)); err != nil {
 			panic(fmt.Sprintf("core: compiled state %d spill image undecodable: %v", idx, err))
@@ -738,6 +755,26 @@ func (cf *CompiledFusion) snapOf(idx int32) string {
 		st.snap = w.String()
 	}
 	return st.snap
+}
+
+// DropEntry deletes the i-th recorded transition of a state and returns
+// the message it was recorded for — a fault-injection seam: checking the
+// table afterwards must fail with ErrTableMiss where the pair is reached,
+// not crash.
+func (cf *CompiledFusion) DropEntry(state, i int) (spec.Msg, error) {
+	if state < 0 || state >= len(cf.states) {
+		return spec.Msg{}, fmt.Errorf("core: state %d out of range", state)
+	}
+	lo, hi := int(cf.stateOff[state]), int(cf.stateOff[state+1])
+	if i < 0 || lo+i >= hi {
+		return spec.Msg{}, fmt.Errorf("core: state %d has no entry %d", state, i)
+	}
+	m := cf.entries[lo+i].msg
+	cf.entries = append(cf.entries[:lo+i:lo+i], cf.entries[lo+i+1:]...)
+	for s := state + 1; s < len(cf.stateOff); s++ {
+		cf.stateOff[s]--
+	}
+	return m, nil
 }
 
 // Protocol lifts the compiled table's per-address projection (FlatFSM)
@@ -807,7 +844,7 @@ func (cf *CompiledFusion) Protocol() (*spec.Protocol, error) {
 // swapped for the compiled table transducer.
 func (cf *CompiledFusion) System() *mcheck.System {
 	sys := cf.template.Clone()
-	cd := &CompiledDir{cf: cf, cur: 0, mem: sys.Mem}
+	cd := &CompiledDir{tableReg: tableReg{mem: sys.Mem}, cf: cf}
 	if err := sys.SwapComponent(cf.mergedIdx, cd); err != nil {
 		panic(err.Error())
 	}
@@ -815,268 +852,55 @@ func (cf *CompiledFusion) System() *mcheck.System {
 	return sys
 }
 
-// compRecord is one extraction observation awaiting finalization.
-type compRecord struct {
-	pre int32
-	msg spec.Msg
-	tr  compTransition
+// tableReg is the dynamic state of a table-driven directory: an index
+// into an interned-state table plus the shared memory handle. CompiledDir
+// and the extraction directory both embed it and apply recorded outcomes
+// through step.
+type tableReg struct {
+	cur int32
+	mem *spec.Memory
 }
 
-// compiler is the extraction observer installed on the searched system's
-// merged directory (shared by every clone; the mutex serializes
-// observation so extraction may run on the parallel search path).
-type compiler struct {
-	mu     sync.Mutex
-	cf     *CompiledFusion
-	keys   map[string]int32 // interned enc++mem -> state index
-	keyBuf []byte
-	// Two-entry recent-key cache in front of the keys map. The search
-	// restores the directory to the expansion's base state before every
-	// delivery, so consecutive observes mostly re-intern the same one or
-	// two (pre, post) images; a byte compare is far cheaper than hashing a
-	// ~250-byte key into the map each time.
-	mruKey [2][]byte
-	mruIdx [2]int32
-	mruN   int
-	seen   map[string]int32 // transKey -> index into recs (memo + dup detection)
-	tkBuf  []byte           // transKey scratch (observe fast path)
-	recs   []compRecord
-	memo   bool // replay recorded pairs instead of re-interpreting
-
-	// Warm start: seedIdx[i] is the seed's index for interned state i (-1
-	// when the seed never saw that state), filled as intern discovers
-	// states; skBuf is the seed-side transKey scratch.
-	seed    *WarmSeed
-	seedIdx []int32
-	skBuf   []byte
-
-	interpreted int64 // deliveries that ran the interpreted MergedDir
-	memoHits    int64 // deliveries replayed from the recorded table
-	warmHits    int64 // deliveries replayed from the warm seed
-	err         error
-
-	// Replay-path decode scratch: one reusable cursor with a message-type
-	// intern table instead of a Dec allocation (and a fresh MsgType string)
-	// per replayed image. observe holds c.mu, so single-goroutine
-	// confinement holds.
-	dec       spec.Dec
-	decIntern *spec.Intern
-}
-
-// remember records keyBuf -> idx in the recent-key cache, evicting the
-// older of the two entries. The slot buffers rotate so no allocation
-// happens after the first two calls.
-func (c *compiler) remember(idx int32) {
-	c.mruKey[0], c.mruKey[1] = c.mruKey[1], c.mruKey[0]
-	c.mruIdx[1] = c.mruIdx[0]
-	c.mruKey[0] = append(c.mruKey[0][:0], c.keyBuf...)
-	c.mruIdx[0] = idx
-	if c.mruN < 2 {
-		c.mruN++
-	}
-}
-
-// replayDec returns the compiler's reusable cursor repointed at buf.
-func (c *compiler) replayDec(buf []byte) *spec.Dec {
-	if c.decIntern == nil {
-		c.decIntern = new(spec.Intern)
-		c.dec.InternStrings(c.decIntern)
-	}
-	c.dec.Reset(buf)
-	return &c.dec
-}
-
-// observe implements dirObserver. The fast path is memoized replay: once
-// a (state, message) pair is in the recorded table, later deliveries of
-// that pair replay the stored outcome directly — sends re-sent, the
-// successor's exact spill image decoded into d, the memory image
-// installed when it changed — instead of re-running the interpreted
-// deliver with its proxy clones and bridge phases. Each distinct pair is
-// interpreted exactly once, and the extraction search delivers far more
-// messages than it has distinct pairs, so the hit rate climbs toward
-// 100% as the table fills. On a memo miss the warm-start seed (when
-// present) is consulted the same way; only a miss on both runs the
-// interpreter. Replay is exact because the spill codec is bijective and
-// the interned key covers the full (directory, memory) pair.
-//
-// The projected FSM is NOT computed here anymore: the pre-memoization
-// observer built two LocalState strings per delivery, which would dwarf
-// the replay fast path. finalize derives it from the records instead.
-func (c *compiler) observe(d *MergedDir, env spec.Env, m spec.Msg) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pre := c.intern(d)
-	c.tkBuf = transKey(c.tkBuf[:0], pre, m)
-	if c.memo {
-		if ri, ok := c.seen[string(c.tkBuf)]; ok {
-			c.memoHits++
-			return c.replay(d, env, c.recs[ri].tr)
-		}
-	}
-	if c.seed != nil {
-		if si := c.seedIdx[pre]; si >= 0 {
-			c.skBuf = transKey(c.skBuf[:0], si, m)
-			if ei, ok := c.seed.seen[string(c.skBuf)]; ok {
-				c.warmHits++
-				return c.replaySeed(d, env, pre, m, ei)
-			}
-		}
-	}
-	c.interpreted++
-	var sends []spec.Msg
-	wrap := spec.EnvFunc(func(msg spec.Msg) {
-		sends = append(sends, msg)
-		env.Send(msg)
-	})
-	ok := d.deliver(wrap, m)
-	tr := compTransition{next: stallState}
-	if ok {
-		post := c.intern(d)
-		tr = compTransition{next: post, sends: sends,
-			remem: !bytes.Equal(c.cf.states[pre].mem, c.cf.states[post].mem)}
-	} else if len(sends) > 0 && c.err == nil {
-		// A stalled delivery must be effect-free: the checker discards the
-		// stalled clone, so a send here would be unreplayable.
-		c.err = fmt.Errorf("core: stalled delivery of %s sent %d messages during compile", m, len(sends))
-	}
-	c.record(c.tkBuf, pre, m, tr)
-	return ok
-}
-
-// replay applies a recorded outcome to d directly — the extraction-time
-// counterpart of CompiledDir.Deliver. A recorded stall replays as a plain
-// refusal: the stall contract (Deliver returns false, no side effects) is
-// checker-wide, so leaving d untouched is exact.
-func (c *compiler) replay(d *MergedDir, env spec.Env, tr compTransition) bool {
-	if tr.next == stallState {
+// step applies one recorded outcome. A stall (next == stallState) refuses
+// the delivery with no side effects; otherwise the successor's memory
+// image is installed when the transition changed memory (memImg non-nil),
+// the recorded sends are re-sent and the register moves to next.
+func (r *tableReg) step(env spec.Env, next int32, sends []spec.Msg, memImg []byte) bool {
+	if next == stallState {
 		return false
 	}
-	for _, s := range tr.sends {
-		env.Send(s)
-	}
-	st := &c.cf.states[tr.next]
-	if err := d.DecodeState(c.replayDec(st.spill)); err != nil {
-		panic(fmt.Sprintf("core: memoized successor spill image undecodable: %v", err))
-	}
-	if tr.remem {
-		if err := d.Memory().DecodeState(c.replayDec(st.mem)); err != nil {
-			panic(fmt.Sprintf("core: memoized successor memory image undecodable: %v", err))
-		}
-	}
-	return true
-}
-
-// replaySeed applies a warm-seed entry: replay the seed's recorded sends
-// and successor images into d, then intern the result and record it as
-// this compile's own transition (so later deliveries of the pair hit the
-// memo table, and finalize sees a self-contained record set). Matching is
-// by exact (encoding, memory) bytes plus the message, so a hit replays
-// the very transition this configuration would interpret — the merged
-// directory's transition function does not depend on the driver programs
-// a compatible seed may differ in (programs only shape reachability).
-func (c *compiler) replaySeed(d *MergedDir, env spec.Env, pre int32, m spec.Msg, ei int32) bool {
-	e := &c.seed.entries[ei]
-	if e.next == stallState {
-		c.record(c.tkBuf, pre, m, compTransition{next: stallState})
-		return false
-	}
-	sends := c.seed.sends[e.sendOff : e.sendOff+e.sendLen : e.sendOff+e.sendLen]
-	for _, s := range sends {
-		env.Send(s)
-	}
-	if err := d.DecodeState(c.replayDec(c.seed.spills[e.next])); err != nil {
-		panic(fmt.Sprintf("core: warm-seed successor spill image undecodable: %v", err))
-	}
-	if e.remem {
-		if err := d.Memory().DecodeState(c.replayDec(c.seed.mems[e.next])); err != nil {
-			panic(fmt.Sprintf("core: warm-seed successor memory image undecodable: %v", err))
-		}
-	}
-	post := c.intern(d)
-	c.record(c.tkBuf, pre, m, compTransition{next: post, sends: sends, remem: e.remem})
-	return true
-}
-
-// intern returns the dense index of the directory's current
-// (state, memory) pair, creating the compState on first sight. The
-// fmt-based Snapshot is deliberately NOT captured here — the exact
-// spill-codec image is, and snapshots are reconstructed from it on demand
-// (snapOf), keeping extraction on the binary-encoding path throughout.
-func (c *compiler) intern(d *MergedDir) int32 {
-	c.keyBuf = d.AppendBinary(c.keyBuf[:0])
-	split := len(c.keyBuf)
-	c.keyBuf = d.Memory().AppendBinary(c.keyBuf)
-	for i := 0; i < c.mruN; i++ {
-		if bytes.Equal(c.keyBuf, c.mruKey[i]) {
-			return c.mruIdx[i]
-		}
-	}
-	if idx, ok := c.keys[string(c.keyBuf)]; ok {
-		c.remember(idx)
-		return idx
-	}
-	st := compState{
-		enc:   append([]byte(nil), c.keyBuf[:split]...),
-		mem:   append([]byte(nil), c.keyBuf[split:]...),
-		spill: d.AppendState(nil),
-		refs:  d.RefNodes(),
-	}
-	if len(c.cf.perms) > 1 {
-		st.relab = make([][]byte, len(c.cf.perms))
-		st.relab[0] = st.enc
-		for i := 1; i < len(c.cf.perms); i++ {
-			st.relab[i] = d.AppendBinaryRelabeled(nil, c.cf.perms[i])
-		}
-	}
-	idx := int32(len(c.cf.states))
-	c.cf.states = append(c.cf.states, st)
-	c.keys[string(st.enc)+string(st.mem)] = idx
-	c.remember(idx)
-	if c.seed != nil {
-		si := int32(-1)
-		if v, ok := c.seed.keys[string(st.enc)+string(st.mem)]; ok {
-			si = v
-		}
-		c.seedIdx = append(c.seedIdx, si)
-	}
-	return idx
-}
-
-// record stores (or re-verifies) one table entry; key is transKey(pre, m)
-// already built by the caller. The conflicting-outcome check only ever
-// fires under NoMemo — with memoization on a revisited pair replays before
-// reaching record — which is exactly why NoMemo exists as the injectivity
-// escape hatch.
-func (c *compiler) record(key []byte, pre int32, m spec.Msg, tr compTransition) {
-	if ri, ok := c.seen[string(key)]; ok {
-		if !sameTransition(c.recs[ri].tr, tr) && c.err == nil {
-			c.err = fmt.Errorf("core: state %d on %s recorded two different outcomes — binary state encoding is not injective over reachable states", pre, m)
-		}
-		return
-	}
-	c.seen[string(key)] = int32(len(c.recs))
-	c.recs = append(c.recs, compRecord{pre: pre, msg: m, tr: tr})
-}
-
-// transKey appends the dedup lookup key: varint state index plus the
-// message's binary encoding. Only the compiler uses it — the finalized
-// dispatch path never encodes keys.
-func transKey(buf []byte, state int32, m spec.Msg) []byte {
-	buf = spec.AppendUvarint(buf, uint64(state))
-	return m.AppendBinary(buf)
-}
-
-// sameTransition compares two table entries field by field.
-func sameTransition(a, b compTransition) bool {
-	if a.next != b.next || a.remem != b.remem || len(a.sends) != len(b.sends) {
-		return false
-	}
-	for i := range a.sends {
-		if a.sends[i] != b.sends[i] {
+	if memImg != nil {
+		var dec spec.Dec
+		dec.Reset(memImg)
+		if err := r.mem.DecodeState(&dec); err != nil {
+			spec.Fault(env, fmt.Errorf("core: state %d memory image undecodable: %w", next, err))
 			return false
 		}
 	}
+	for _, s := range sends {
+		env.Send(s)
+	}
+	r.cur = next
 	return true
+}
+
+// AppendState implements spec.StateCodec (spill frontier): the state
+// register; the shared memory is encoded by the host as usual.
+func (r *tableReg) AppendState(buf []byte) []byte {
+	return spec.AppendUvarint(buf, uint64(r.cur))
+}
+
+// decode is DecodeState over a table of n states.
+func (r *tableReg) decode(dec *spec.Dec, n int) error {
+	v := dec.Uvarint()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if v >= uint64(n) {
+		return fmt.Errorf("core: compiled-state index %d out of range", v)
+	}
+	r.cur = int32(v)
+	return nil
 }
 
 // CompiledDir is the flat-table stand-in for the interpreted MergedDir: an
@@ -1087,9 +911,8 @@ func sameTransition(a, b compTransition) bool {
 // references and spill codec byte for byte, so searches over compiled and
 // interpreted systems agree exactly.
 type CompiledDir struct {
-	cf  *CompiledFusion
-	cur int32
-	mem *spec.Memory
+	tableReg
+	cf *CompiledFusion
 }
 
 // OwnedIDs implements spec.Component (same endpoints as the interpreted
@@ -1097,30 +920,32 @@ type CompiledDir struct {
 func (d *CompiledDir) OwnedIDs() []spec.NodeID { return d.cf.owned }
 
 // Deliver implements spec.Component by dense table lookup: binary-search
-// the current state's message-sorted span, then stall or replay the
-// recorded sends, memory image and successor state.
+// the current state's message-sorted span, then step through the recorded
+// outcome. A pair the table never recorded is reported as ErrTableMiss
+// through the host's spec.FaultEnv.
 func (d *CompiledDir) Deliver(env spec.Env, m spec.Msg) bool {
 	cf := d.cf
-	lo, hi := cf.stateOff[d.cur], cf.stateOff[d.cur+1]
+	e := findEntry(cf.entries[cf.stateOff[d.cur]:cf.stateOff[d.cur+1]], &m)
+	if e == nil {
+		spec.Fault(env, &ErrTableMiss{Fusion: cf.fusion.Name(), State: d.cur, Msg: m})
+		return false
+	}
+	var img []byte
+	if e.remem {
+		img = cf.states[e.next].mem
+	}
+	return d.step(env, e.next, cf.sends[e.sendOff:e.sendOff+e.sendLen], img)
+}
+
+// findEntry binary-searches one state's message-sorted span of the dense
+// table for m's entry, or returns nil.
+func findEntry(span []compEntry, m *spec.Msg) *compEntry {
+	lo, hi := 0, len(span)
 	for lo < hi {
-		mid := int32(uint32(lo+hi) >> 1)
-		e := &cf.entries[mid]
-		c := msgCmp(m, e.msg)
+		mid := int(uint(lo+hi) >> 1)
+		c := msgCmp(m, &span[mid].msg)
 		if c == 0 {
-			if e.next == stallState {
-				return false
-			}
-			for _, s := range cf.sends[e.sendOff : e.sendOff+e.sendLen] {
-				env.Send(s)
-			}
-			if e.remem {
-				dec := spec.NewDec(cf.states[e.next].mem)
-				if err := d.mem.DecodeState(dec); err != nil {
-					panic(err.Error())
-				}
-			}
-			d.cur = e.next
-			return true
+			return &span[mid]
 		}
 		if c < 0 {
 			hi = mid
@@ -1128,8 +953,7 @@ func (d *CompiledDir) Deliver(env spec.Env, m spec.Msg) bool {
 			lo = mid + 1
 		}
 	}
-	panic(fmt.Sprintf("core: compiled table for %s has no entry for state %d on %s — the checked configuration does not match the CompileConfig",
-		cf.fusion.Name(), d.cur, m))
+	return nil
 }
 
 // Clone implements spec.Component.
@@ -1138,14 +962,14 @@ func (d *CompiledDir) Clone() spec.Component { return d.CloneWithMemory(d.mem.Cl
 // CloneWithMemory implements mcheck.MemoryCloner: O(1) — the table is
 // shared, only the state register copies.
 func (d *CompiledDir) CloneWithMemory(mem *spec.Memory) spec.Component {
-	return &CompiledDir{cf: d.cf, cur: d.cur, mem: mem}
+	return &CompiledDir{tableReg: tableReg{cur: d.cur, mem: mem}, cf: d.cf}
 }
 
 // Snapshot implements spec.Component with the interpreted snapshot
 // reconstructed from the state's spill image (lazily, cached) —
 // byte-identical diagnostics and snapshot-mode visited keys.
 func (d *CompiledDir) Snapshot(b *spec.SnapshotWriter) {
-	b.WriteString(d.cf.snapOf(d.cur))
+	b.WriteString(d.cf.snapshot(d.cur, &d.cf.states[d.cur]))
 }
 
 // AppendBinary implements spec.BinaryAppender with the interpreted
@@ -1171,24 +995,8 @@ func (d *CompiledDir) AppendBinaryRelabeled(buf []byte, r spec.Relabel) []byte {
 	return append(buf, st.relab[idx]...)
 }
 
-// AppendState implements spec.StateCodec (spill frontier): the state
-// register; the shared memory is encoded by the host as usual.
-func (d *CompiledDir) AppendState(buf []byte) []byte {
-	return spec.AppendUvarint(buf, uint64(d.cur))
-}
-
 // DecodeState implements spec.StateCodec.
-func (d *CompiledDir) DecodeState(dec *spec.Dec) error {
-	v := dec.Uvarint()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if v >= uint64(len(d.cf.states)) {
-		return fmt.Errorf("core: compiled-state index %d out of range", v)
-	}
-	d.cur = int32(v)
-	return nil
-}
+func (d *CompiledDir) DecodeState(dec *spec.Dec) error { return d.decode(dec, len(d.cf.states)) }
 
 // RefNodes implements spec.NodeReferrer with the interpreted component's
 // references captured at intern time (identical ample-set choices).
@@ -1209,5 +1017,4 @@ var (
 	_ spec.NodeReferrer    = (*CompiledDir)(nil)
 	_ spec.Freezer         = (*CompiledDir)(nil)
 	_ mcheck.MemoryCloner  = (*CompiledDir)(nil)
-	_ dirObserver          = (*compiler)(nil)
 )

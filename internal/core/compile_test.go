@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -264,10 +265,10 @@ func TestCompiledProtocolPCCRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompiledDirPanicsOnForeignConfig pins the config-mismatch guard:
+// TestCompiledDirFaultsOnForeignConfig pins the config-mismatch guard:
 // driving a compiled table with a program it was not compiled for must
-// panic, not silently mis-transition.
-func TestCompiledDirPanicsOnForeignConfig(t *testing.T) {
+// fail the search with ErrTableMiss, not silently mis-transition or crash.
+func TestCompiledDirFaultsOnForeignConfig(t *testing.T) {
 	f, err := Fuse(Options{}, protocols.MustByName(protocols.NameMSI), protocols.MustByName(protocols.NameRCC))
 	if err != nil {
 		t.Fatal(err)
@@ -286,10 +287,39 @@ func TestCompiledDirPanicsOnForeignConfig(t *testing.T) {
 		{{Op: spec.OpStore, Addr: 1, Value: 8}},
 	}
 	sys.SetPrograms(foreign)
-	defer func() {
-		if recover() == nil {
-			t.Error("checking a foreign program against the compiled table did not panic")
+	res := mcheck.Explore(sys, mcheck.Options{Workers: 1})
+	var miss *ErrTableMiss
+	if !errors.As(res.Err, &miss) {
+		t.Fatalf("checking a foreign program against the compiled table: err %v, want ErrTableMiss", res.Err)
+	}
+	if res.Ok() {
+		t.Error("a faulted search reported Ok")
+	}
+}
+
+// TestTableMissFaults: a table with one entry deleted, searched over its
+// own configuration with POR off (so every recorded pair is delivered),
+// ends with exactly that (state, message) pair as a typed ErrTableMiss in
+// Result.Err, at one and four workers.
+func TestTableMissFaults(t *testing.T) {
+	f := fusePair(t, protocols.NameMSI, protocols.NameRCC)
+	cf, err := Compile(f, TableIICompileConfig(true, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const state = 0
+	m, err := cf.DropEntry(state, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		res := mcheck.Explore(cf.System(), mcheck.Options{Workers: workers, POR: mcheck.POROff})
+		var miss *ErrTableMiss
+		if !errors.As(res.Err, &miss) {
+			t.Fatalf("workers=%d: err %v, want ErrTableMiss", workers, res.Err)
 		}
-	}()
-	mcheck.Explore(sys, mcheck.Options{Workers: 1})
+		if miss.State != state || miss.Msg != m {
+			t.Errorf("workers=%d: miss at state %d on %s, want state %d on %s", workers, miss.State, miss.Msg, state, m)
+		}
+	}
 }

@@ -22,10 +22,13 @@ func fusePair(t *testing.T, a, b string) *Fusion {
 // TestExtractionDeterminism pins the memoized extraction's core contract:
 // Workers ∈ {1,2,4} × memoization on/off × warm-start from a seeded table
 // all produce byte-identical artifacts (which subsumes the dense table,
-// the interned state images and the digest) and byte-identical FlatFSM
-// renderings. Memoization and warm seeding change how the table is
-// extracted — never what is extracted — and canonical state renumbering
-// is what erases the schedule from the bytes.
+// the interned state images and the digest), byte-identical FlatFSM
+// renderings and the same extraction state count. Memoization and warm
+// seeding change how the table is extracted — never what is extracted —
+// and canonical state renumbering is what erases the schedule from the
+// bytes. Every memoized run, parallel ones included, resolves each
+// distinct (state, message) pair exactly once: by the interpreter, or
+// from the warm seed.
 func TestExtractionDeterminism(t *testing.T) {
 	f := fusePair(t, protocols.NameMSI, protocols.NameRCC)
 	base, err := Compile(f, TableIICompileConfig(true, 1))
@@ -67,8 +70,24 @@ func TestExtractionDeterminism(t *testing.T) {
 				if cf.FlatFSM().Format() != wantFSM {
 					t.Error("FlatFSM rendering differs from the baseline")
 				}
-				if mode == "warm" && cf.Stats().WarmHits == 0 {
-					t.Error("warm-started compile recorded no warm hits")
+				st := cf.Stats()
+				if st.ExtractStates != base.Stats().ExtractStates {
+					t.Errorf("extraction visited %d states, baseline %d", st.ExtractStates, base.Stats().ExtractStates)
+				}
+				switch mode {
+				case "memo":
+					if st.Interpreted != int64(cf.Transitions()) {
+						t.Errorf("interpreted %d deliveries for %d distinct pairs — each pair must be interpreted exactly once",
+							st.Interpreted, cf.Transitions())
+					}
+				case "warm":
+					if st.WarmHits == 0 {
+						t.Error("warm-started compile recorded no warm hits")
+					}
+					if st.Interpreted+st.WarmHits != int64(cf.Transitions()) {
+						t.Errorf("%d interpreted + %d warm deliveries for %d distinct pairs — each pair must be resolved exactly once",
+							st.Interpreted, st.WarmHits, cf.Transitions())
+					}
 				}
 			})
 		}

@@ -172,8 +172,9 @@ type Result struct {
 	PeakFrontier   int64   // spilling only: most frontier records queued at once, in memory or on disk
 
 	// Err is the first fault that stopped the search (a spill-file I/O
-	// error or an undecodable frontier record): the result is partial and
-	// no verdict may be drawn from it.
+	// error, an undecodable frontier record, or a component fault such as
+	// a compiled-table miss): the result is partial and no verdict may be
+	// drawn from it.
 	Err error `json:"-"`
 }
 
@@ -681,13 +682,15 @@ func (ctx *searchCtx) expand(cur *System, img []byte, res *Result, sc *expandScr
 // the incremental move cache, which is saved by value and reinstated with
 // the state bytes it described. Returns whether any move progressed; when
 // none did, cur was never dirtied and is still the expanded state. A failed
-// restore records the fault and reports progress, so the corrupt cursor is
+// restore, or a component fault reported through the Env (a stalled
+// Apply), records the fault and reports progress, so the corrupt cursor is
 // never classified.
 func (ctx *searchCtx) successorsInPlace(cur *System, img []byte, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) bool {
 	mcSave := cur.mc
 	var dirtyMask uint64
 	// try applies move i on a clean cursor and reports whether it
-	// progressed (or the restore failed, which ends the expansion).
+	// progressed (or the restore failed or a component faulted, which ends
+	// the expansion).
 	try := func(i int) (progressed, ok bool) {
 		if dirtyMask != 0 {
 			if err := cur.restoreSegs(img, sc.segs, dirtyMask); err != nil {
@@ -698,6 +701,10 @@ func (ctx *searchCtx) successorsInPlace(cur *System, img []byte, res *Result, sc
 			dirtyMask = 0
 		}
 		if !cur.Apply(sc.moves[i]) {
+			if err := cur.takeFault(); err != nil {
+				ctx.fail(err)
+				return false, false
+			}
 			return false, true
 		}
 		if t := cur.touched; t >= 0 && t < 64 {

@@ -97,6 +97,10 @@ type System struct {
 	msgArena []spec.Msg
 	// envc caches env's Env so Apply does not allocate one per move.
 	envc spec.Env
+	// fault is the first error a component reported through the Env
+	// (spec.FaultEnv) instead of carrying out a delivery; the search
+	// collects it with takeFault after each Apply.
+	fault error
 
 	// touched is the component index the last successful Apply mutated
 	// (-1 when unrouted). Only meaningful immediately after Apply returns
@@ -295,12 +299,32 @@ func (s *System) newQueue(m spec.Msg) []spec.Msg {
 	return q
 }
 
+// sysEnv is the System's spec.FaultEnv: sends enqueue onto the system and
+// faults are recorded on it (the first one wins).
+type sysEnv struct{ s *System }
+
+func (e sysEnv) Send(m spec.Msg) { e.s.send(m) }
+
+func (e sysEnv) Fault(err error) {
+	if e.s.fault == nil {
+		e.s.fault = err
+	}
+}
+
 // env returns an Env that enqueues onto this system.
 func (s *System) env() spec.Env {
 	if s.envc == nil {
-		s.envc = spec.EnvFunc(s.send)
+		s.envc = sysEnv{s}
 	}
 	return s.envc
+}
+
+// takeFault returns and clears the fault a component reported since the
+// last call, if any.
+func (s *System) takeFault() error {
+	err := s.fault
+	s.fault = nil
+	return err
 }
 
 // Clone deep-copies the system. The route table is shared (immutable), the

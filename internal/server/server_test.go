@@ -11,13 +11,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"heterogen/internal/core"
 	"heterogen/internal/engine"
+	"heterogen/internal/protocols"
 )
 
 // testServer builds a server with quiet logs and an httptest front end,
@@ -362,6 +365,50 @@ func TestSpillFaultFailsJob(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(root); len(left) != 0 {
 		t.Fatalf("failed jobs left %d entries in the spill root", len(left))
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after a failed job: status %d", resp.StatusCode)
+	}
+	id := postJob(t, ts, `{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1}}}`)
+	waitState(t, ts, id, StateDone)
+}
+
+// TestTableMissFailsJob: a check job over a compiled table with one entry
+// deleted ends "failed" with the table miss as its error, at one and four
+// search workers, and the daemon survives it: /healthz answers and the
+// next job completes. POR is off so the search delivers every recorded
+// (state, message) pair, the deleted one included.
+func TestTableMissFailsJob(t *testing.T) {
+	msi, rcc := protocols.MustByName(protocols.NameMSI), protocols.MustByName(protocols.NameRCC)
+	f, err := core.Fuse(core.Options{}, msi, rcc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := core.Compile(f, core.TableIICompileConfig(true, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cf.DropEntry(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "dropped"+core.ArtifactExt)
+	if err := cf.WriteArtifact(path); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := testServer(t, Config{JobWorkers: 1})
+	for _, workers := range []int{1, 4} {
+		id := postJob(t, ts, fmt.Sprintf(`{"check":{"table":%q,"search":{"workers":%d,"no_por":true}}}`, path, workers))
+		m := waitState(t, ts, id, StateFailed)
+		var msg string
+		json.Unmarshal(m["error"], &msg)
+		if !strings.Contains(msg, "has no entry for state 0") {
+			t.Fatalf("workers=%d: failed job's error %q does not name the table miss", workers, msg)
+		}
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

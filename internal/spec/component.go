@@ -10,6 +10,25 @@ type Env interface {
 	Send(m Msg)
 }
 
+// FaultEnv is an Env whose host accepts component faults: a component that
+// cannot carry out a delivery (a compiled table with no entry for it, a
+// stored state image that no longer decodes) reports the error and stalls,
+// and the host fails the run with it instead of crashing.
+type FaultEnv interface {
+	Env
+	Fault(err error)
+}
+
+// Fault reports err through env when the host accepts faults, and panics
+// with it otherwise.
+func Fault(env Env, err error) {
+	if fe, ok := env.(FaultEnv); ok {
+		fe.Fault(err)
+		return
+	}
+	panic(err)
+}
+
 // Component is a coherence controller endpoint executed by a host system
 // (model checker or simulator). A component may own several NodeIDs — the
 // merged directory owns its constituent directories and proxy caches.
