@@ -26,8 +26,8 @@ race:
 
 # Allocation regression guards: the search hot path (Clone+Apply+encode),
 # the bytes-per-state guard on the compacted visited table, the byte
-# frontier's push/take cycle (zero allocations), the heap bytes a
-# sequential Explore allocates per visited state, the compiler's memo-hit
+# frontier's push/pop/share/take cycle (zero allocations), the heap bytes a
+# one-worker Explore allocates per visited state, the compiler's memo-hit
 # replay path, and the simulator's discrete-event loop (allocs per memory
 # operation). Runs without the race detector: its instrumentation changes
 # alloc counts, so the alloc guard files are build-tagged out of
@@ -76,13 +76,13 @@ bench-por:
 bench-compile:
 	BENCH_COMPILE_OUT=BENCH_COMPILE.json $(GO) test -run XXX -bench 'BenchmarkCompile' -benchtime 1x -timeout 30m .
 
-# Regenerate BENCH_SIM.json: the full-scale Figure 10 sweep (compiled
-# dispatch), the stress trace families and the Table II pair sweep, all
+# Regenerate BENCH_SIM.json: the full-scale Figure 10 sweep, the stress
+# trace families and the Table II pair sweep, all
 # through the parallel scenario runner. The figure10 section records the
 # wall-clock against the pre-optimization sequential engine's measured
 # baseline (see EXPERIMENTS.md §VIII).
 bench-sim:
-	$(GO) run ./cmd/hgsim -compiled -family all -pairs -json BENCH_SIM.json
+	$(GO) run ./cmd/hgsim -family all -pairs -json BENCH_SIM.json
 
 # Regenerate every BENCH_*.json in one (long) sitting: all the bench-*
 # targets above, each writing through its BENCH_*_OUT variable. Hours of

@@ -12,7 +12,7 @@
 //	hglitmus -pair MESI,RCC-O        # one pair
 //	hglitmus -shape MP,SB            # selected shapes
 //	hglitmus -all-allocs -evict      # every allocation, with replacements
-//	hglitmus -workers 1              # sequential (deterministic timing)
+//	hglitmus -workers 1              # one test at a time (deterministic timing)
 //	hglitmus -pair MESI,RCC-O -compiled  # check the compiled flat tables
 //	hglitmus -pair MESI,RCC-O -table ~/.cache/hg  # compiled, with per-test
 //	                                  # artifacts cached by content digest

@@ -28,7 +28,7 @@ import (
 // Register time become the flag defaults, so commands can differ where
 // their workloads warrant it (hgcheck defaults -hash on; hglitmus off).
 type Search struct {
-	// Workers is the -workers parallelism (0 = all cores, 1 = sequential).
+	// Workers is the -workers parallelism (0 = all cores, 1 = one worker).
 	Workers int
 	// Hash is -hash: 64-bit fingerprint state storage.
 	Hash bool
@@ -55,7 +55,7 @@ type Search struct {
 // Register installs the shared flags on fs with the current field values
 // as defaults.
 func (s *Search) Register(fs *flag.FlagSet) {
-	fs.IntVar(&s.Workers, "workers", s.Workers, "worker parallelism (0 = all cores, 1 = sequential deterministic order)")
+	fs.IntVar(&s.Workers, "workers", s.Workers, "worker parallelism (0 = all cores; 1 = one worker, deterministic breadth-first order; every count reports the same result)")
 	fs.BoolVar(&s.Hash, "hash", s.Hash, "use state-hash compaction (lock-free 64-bit fingerprint table)")
 	fs.StringVar(&s.Encoding, "encoding", s.Encoding, "visited-set state encoding: binary or snapshot")
 	fs.BoolVar(&s.Symmetry, "symmetry", s.Symmetry, "canonicalize states under cache-permutation symmetry")

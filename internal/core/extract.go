@@ -210,7 +210,12 @@ func (c *compiler) miss(d *extractDir, env spec.Env, m spec.Msg) bool {
 	} else {
 		c.interpreted++
 		if sh, err = d.materialize(st.spill); err == nil {
-			ok = sh.deliver(spec.EnvFunc(func(msg spec.Msg) { sends = append(sends, msg) }), m)
+			var se shadowEnv
+			ok, sends = sh.deliver(&se, m), se.sends
+			if se.fault != nil {
+				spec.Fault(env, se.fault)
+				return false
+			}
 		}
 	}
 	if err != nil {
@@ -228,6 +233,21 @@ func (c *compiler) miss(d *extractDir, env spec.Env, m spec.Msg) bool {
 	}
 	c.record(st, compRecord{pre: pre, msg: m, tr: tr})
 	return c.step(d, env, tr)
+}
+
+// shadowEnv collects the sends of an interpreted shadow delivery and the
+// first fault a constituent controller reported during it.
+type shadowEnv struct {
+	sends []spec.Msg
+	fault error
+}
+
+func (e *shadowEnv) Send(m spec.Msg) { e.sends = append(e.sends, m) }
+
+func (e *shadowEnv) Fault(err error) {
+	if e.fault == nil {
+		e.fault = err
+	}
 }
 
 // entry returns the seed's recorded entry for seed state si on m, or nil

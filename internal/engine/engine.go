@@ -25,8 +25,8 @@ import (
 // zero value means the same thing as each command's baseline: POR on,
 // binary encoding, exact storage, all cores.
 type SearchOptions struct {
-	// Workers is the search parallelism (0 = all cores, 1 = sequential
-	// deterministic order).
+	// Workers is the search parallelism (0 = all cores; 1 = one worker,
+	// whose breadth-first visit order is deterministic).
 	Workers int `json:"workers,omitempty"`
 	// Hash selects 64-bit fingerprint state storage (hash compaction).
 	Hash bool `json:"hash,omitempty"`

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"heterogen/internal/core"
 	"heterogen/internal/mcheck"
 	"heterogen/internal/protocols"
+	"heterogen/internal/spec"
 )
 
 // TestCheckMatchesDirect pins the refactor's core promise: a request
@@ -153,5 +155,41 @@ func TestSearchFaultIsError(t *testing.T) {
 		Search: search}, Hooks{})
 	if err == nil || lres == nil || lres.Passed != 0 || lres.Failed != 0 {
 		t.Fatalf("litmus over an unusable spill dir: err=%v res=%+v", err, lres)
+	}
+}
+
+// badMSI is MSI with the directory's GetS-in-I row forwarding to the
+// owner instead of answering the requester: it parses, but the first
+// GetS to an uncached line has no owner to go to.
+func badMSI(t *testing.T) string {
+	t.Helper()
+	src := spec.ExportPCC(protocols.MustByName(protocols.NameMSI))
+	good := "I msg GetS -> S : send Data msgsrc mem, addsharer"
+	if !strings.Contains(src, good) {
+		t.Fatal("MSI no longer has the GetS-in-I row the bad spec rewrites")
+	}
+	return strings.Replace(src, good, "I msg GetS -> S : send Data owner mem, addsharer", 1)
+}
+
+// TestBadProtocolFaults: a user-supplied protocol that forwards to an
+// absent owner fails the check with an error naming the fault — on the
+// interpreted and the compiled path, at one and four workers — instead of
+// panicking.
+func TestBadProtocolFaults(t *testing.T) {
+	if _, err := spec.ParsePCC(badMSI(t)); err != nil {
+		t.Fatalf("the bad spec no longer parses, so it tests nothing: %v", err)
+	}
+	for _, compiled := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			req := CheckRequest{Pair: []string{"-", "RCC"}, Spec: badMSI(t), Caches: 1, Addrs: 1, Compiled: compiled,
+				Search: SearchOptions{Workers: workers}}
+			res, err := Check(context.Background(), req, Hooks{})
+			if err == nil || !strings.Contains(err.Error(), "absent owner") {
+				t.Fatalf("compiled=%t workers=%d: err = %v, want the absent-owner fault", compiled, workers, err)
+			}
+			if res != nil && res.Verdict() == nil {
+				t.Fatalf("compiled=%t workers=%d: a faulted check passed its verdict", compiled, workers)
+			}
+		}
 	}
 }

@@ -92,7 +92,7 @@ type Result struct {
 	Observed    bool     // ... and the protocol exhibited it (a failure)
 	BadOutcomes []string // observable outcomes outside the allowed set
 	Deadlocks   int
-	// DeadlockState holds the first deadlocked state's snapshot (debug).
+	// DeadlockState holds the lexicographically least deadlocked state's snapshot (debug).
 	DeadlockState string
 	Truncated     bool
 	// Cancelled marks a test whose exploration was stopped by context
@@ -504,7 +504,7 @@ func RunSuiteCtx(ctx context.Context, pairs [][]*spec.Protocol, opts Options) (*
 	}
 	if opts.ExploreWorkers == 0 && workers > 1 {
 		// The suite already saturates the cores test-by-test; keep each
-		// exploration sequential rather than oversubscribing.
+		// exploration on one worker rather than oversubscribing.
 		opts.ExploreWorkers = 1
 	}
 

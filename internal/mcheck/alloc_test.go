@@ -66,53 +66,42 @@ func TestAllocRegressionCloneApplyEncode(t *testing.T) {
 	}
 }
 
-// TestAllocRegressionWSDeque guards the byte frontier's publish/take
-// cycle: once its chunks are warm, admitting records into a worker's
-// buffer, publishing them onto its deque, taking them back in batches and
-// popping them allocates nothing — records are copied between pointer-free
-// chunks that are recycled, never allocated per state. The sequential
-// queue's push/pop cycle is held to the same budget.
+// TestAllocRegressionWSDeque guards the byte frontier's hand-off cycle:
+// once its chunks are warm, appending records to a worker's FIFO, popping
+// them, publishing half on the worker's deque for an idle sibling and
+// taking them into the sibling's FIFO allocates nothing — records live in
+// pointer-free chunks that are recycled, never allocated per state.
 func TestAllocRegressionWSDeque(t *testing.T) {
 	ctx := &searchCtx{}
 	rec := make([]byte, 240)
-	f := newWSFrontier(ctx, &recQueue{stats: &ctx.stats}, 2, rec)
+	f := newWSFrontier(ctx, nil, 2, rec)
 	var batch recSlab
 	cycle := func() {
+		q := f.take(0, &batch)
 		for i := 0; i < 8; i++ {
-			f.pend[0].push(rec)
+			q.push(rec)
 		}
-		f.flush(0)
-		for f.deques[0].recs.n > 0 {
-			f.take(0, &batch)
-			for _, ok := batch.popFront(); ok; _, ok = batch.popFront() {
-			}
-			f.settle(batch.n)
+		q.popFront()
+		f.idle.Store(1)
+		f.share(0, q)
+		for _, ok := q.popFront(); ok; _, ok = q.popFront() {
 		}
+		stolen := f.take(1, &batch)
+		for _, ok := stolen.popFront(); ok; _, ok = stolen.popFront() {
+		}
+		f.idle.Store(0)
+		f.work.Add(1) // worker 1's take counted it busy; it idles again next cycle
+		q.push(rec)
 	}
 	for i := 0; i < 100; i++ {
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Errorf("byte-frontier push+take cycle allocates %.1f, want 0", allocs)
-	}
-
-	q := &recQueue{stats: &ctx.stats}
-	qcycle := func() {
-		for i := 0; i < 8; i++ {
-			q.push(rec)
-		}
-		for _, ok, _ := q.pop(); ok; _, ok, _ = q.pop() {
-		}
-	}
-	for i := 0; i < 100; i++ {
-		qcycle()
-	}
-	if allocs := testing.AllocsPerRun(200, qcycle); allocs != 0 {
-		t.Errorf("sequential queue push+pop cycle allocates %.1f, want 0", allocs)
+		t.Errorf("byte-frontier push+pop+share+take cycle allocates %.1f, want 0", allocs)
 	}
 }
 
-// exploreBytesBudget caps the heap bytes a sequential Explore allocates
+// exploreBytesBudget caps the heap bytes a one-worker Explore allocates
 // per visited state on the MESI configuration below. Measured ~700 with
 // the byte frontier, about 500 of them the exact visited set's own
 // encodings; a frontier of heap Systems copied per admitted state cost
@@ -120,7 +109,7 @@ func TestAllocRegressionWSDeque(t *testing.T) {
 const exploreBytesBudget = 1024
 
 // TestAllocRegressionExploreBytes guards the search loop end to end: a
-// sequential Explore of a small homogeneous MESI system must stay under
+// one-worker Explore of a small homogeneous MESI system must stay under
 // exploreBytesBudget allocated bytes per visited state, counting the
 // frontier, the visited set, the cursor and every scratch buffer.
 func TestAllocRegressionExploreBytes(t *testing.T) {
@@ -141,11 +130,11 @@ func TestAllocRegressionExploreBytes(t *testing.T) {
 	res := Explore(sys, opts)
 	runtime.ReadMemStats(&after)
 	perState := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.States)
-	t.Logf("sequential Explore: %d states, %.0f bytes allocated per state", res.States, perState)
+	t.Logf("one-worker Explore: %d states, %.0f bytes allocated per state", res.States, perState)
 	if res.States < 10_000 {
 		t.Fatalf("only %d states — workload too small to measure", res.States)
 	}
 	if perState > exploreBytesBudget {
-		t.Errorf("sequential Explore allocates %.0f bytes per state, budget %d", perState, exploreBytesBudget)
+		t.Errorf("one-worker Explore allocates %.0f bytes per state, budget %d", perState, exploreBytesBudget)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"heterogen/internal/protocols"
+	"heterogen/internal/spec"
 )
 
 // enospcAfter returns a SpillWriter seam whose writers share one byte
@@ -121,10 +122,84 @@ func TestCorruptWaveBecomesError(t *testing.T) {
 	}
 
 	sys := NewHomogeneous(protocols.MustByName(protocols.NameMSI), 2)
-	ctx := newSearchCtx(sys, Options{}, DefaultMaxStates, false)
+	ctx := newSearchCtx(sys, Options{}, DefaultMaxStates)
 	var sc expandScratch
 	rec := appendSpill(sys, nil)
 	if err := ctx.decode(sys.Clone(), rec[:len(rec)/2], &sc); err == nil {
 		t.Fatal("a truncated record decoded cleanly")
+	}
+}
+
+// badMSI parses MSI's exported spec with one row rewritten.
+func badMSI(t *testing.T, row, rewrite string) *spec.Protocol {
+	t.Helper()
+	src := spec.ExportPCC(protocols.MustByName(protocols.NameMSI))
+	if !strings.Contains(src, row) {
+		t.Fatalf("MSI no longer has the row %q", row)
+	}
+	p, err := spec.ParsePCC(strings.Replace(src, row, rewrite, 1))
+	if err != nil {
+		t.Fatalf("the rewritten spec no longer parses, so it tests nothing: %v", err)
+	}
+	return p
+}
+
+// TestComponentFaultsBecomeErrors: a protocol whose controller cannot
+// address a send ends the search with Result.Err at one and four workers,
+// instead of panicking. A directory forwarding to an absent owner passes
+// ParsePCC; a destination the controller cannot resolve at all is
+// rejected by validation, so those rows are rewritten after parsing.
+func TestComponentFaultsBecomeErrors(t *testing.T) {
+	getS := "I msg GetS -> S : send Data msgsrc mem, addsharer"
+	redirect := func(tr *spec.Transition, dst spec.Dst) {
+		if tr == nil || tr.Actions[0].Op != spec.ActSend {
+			t.Fatal("MSI's I-state row no longer starts with a send")
+		}
+		tr.Actions[0].Dst = dst
+	}
+	cases := []struct {
+		name  string
+		proto func() *spec.Protocol
+		want  string
+	}{
+		{"dir-absent-owner", func() *spec.Protocol {
+			return badMSI(t, getS, "I msg GetS -> S : send Data owner mem, addsharer")
+		}, "absent owner"},
+		{"dir-bad-dst", func() *spec.Protocol {
+			p := badMSI(t, getS, getS)
+			redirect(p.Dir.OnMessage(p.Dir.Init, &spec.Msg{Type: "GetS"}, spec.MsgCtx{}), spec.ToDir)
+			return p
+		}, "cannot send Data to"},
+		{"cache-bad-dst", func() *spec.Protocol {
+			p := badMSI(t, getS, getS)
+			redirect(p.Cache.OnCoreOp(p.Cache.Init, spec.OpLoad), spec.ToOwner)
+			return p
+		}, "cannot send GetS to"},
+	}
+	progs, _ := reqsFor(mpPlain())
+	for _, tc := range cases {
+		p := tc.proto()
+		for _, workers := range []int{1, 4} {
+			sys := NewHomogeneous(p, 2)
+			sys.SetPrograms(progs)
+			res := Explore(sys, Options{Workers: workers})
+			if res.Err == nil || !strings.Contains(res.Err.Error(), tc.want) || res.Ok() {
+				t.Errorf("%s workers=%d: err = %v, want a fault naming %q", tc.name, workers, res.Err, tc.want)
+			}
+		}
+	}
+}
+
+// TestUnroutedMessageFaults: delivering a message addressed to no
+// component stalls the move with a fault instead of panicking.
+func TestUnroutedMessageFaults(t *testing.T) {
+	sys := NewHomogeneous(protocols.MustByName(protocols.NameMSI), 2)
+	msg := spec.Msg{Type: "GetS", Src: 0, Dst: 99}
+	sys.send(msg)
+	if sys.Apply(Move{Kind: MoveDeliver, Chan: chanKey{msg.Src, msg.Dst, msg.VNet}}) {
+		t.Fatal("a message to an unrouted node was delivered")
+	}
+	if err := sys.takeFault(); err == nil || !strings.Contains(err.Error(), "unrouted node 99") {
+		t.Fatalf("fault = %v, want the unrouted node named", err)
 	}
 }

@@ -37,9 +37,9 @@ func (c *slabChunk) rec(i int) []byte {
 	return c.data[c.offs[i]:end:end]
 }
 
-// recSlab is a double-ended queue of byte records. Pushes only append, so
-// they never overwrite a stored byte; chunks are emptied for reuse only by
-// the pop operations. A record returned by popFront therefore stays intact
+// recSlab is a FIFO of byte records. Pushes only append, so they never
+// overwrite a stored byte; chunks are emptied for reuse only by the pop
+// operations. A record returned by popFront therefore stays intact
 // — however many records are pushed meanwhile — until the next pop, reset
 // or move on the same slab.
 type recSlab struct {
@@ -94,40 +94,6 @@ func (s *recSlab) moveFront(dst *recSlab, k int) {
 		rec, _ := s.popFront()
 		dst.push(rec)
 	}
-}
-
-// moveBack copies the k newest records into dst, oldest first, and removes
-// them.
-func (s *recSlab) moveBack(dst *recSlab, k int) {
-	ci, i := len(s.chunks)-1, 0
-	for rem := k; ; ci-- {
-		c := s.chunks[ci]
-		if live := len(c.offs) - c.lo; live < rem {
-			rem -= live
-			continue
-		}
-		i = len(s.chunks[ci].offs) - rem
-		break
-	}
-	for j := ci; j < len(s.chunks); j++ {
-		c := s.chunks[j]
-		from := c.lo
-		if j == ci {
-			from = i
-		}
-		for r := from; r < len(c.offs); r++ {
-			dst.push(c.rec(r))
-		}
-	}
-	for j := ci + 1; j < len(s.chunks); j++ {
-		s.retire(s.chunks[j])
-		s.chunks[j] = nil
-	}
-	c := s.chunks[ci]
-	c.data = c.data[:c.offs[i]]
-	c.offs = c.offs[:i]
-	s.chunks = s.chunks[:ci+1]
-	s.n -= k
 }
 
 // reset empties the slab.
@@ -205,170 +171,192 @@ func (g *gauge) add(n int) {
 	}
 }
 
-// maxBatch caps how many records one take hands a worker, and how many
-// admitted records a worker buffers before publishing them.
+// maxBatch caps a refill from the spill queue and the admitted records a
+// spilling worker buffers before moving them to the queue.
 const maxBatch = 64
 
 // takeSpins is how many empty take sweeps merely yield before backing off
 // with a short sleep (idle workers poll: there is no condition variable).
 const takeSpins = 8
 
-// byteDeque is one worker's share of the parallel frontier. The owner
-// pushes at the tail and, in memory, pops there too (depth-first-ish,
-// cache-warm); thieves steal from the head — the oldest, shallowest
-// states, which tend to root the largest unexplored subtrees. With a spill
-// backend the owner consumes the head as well, keeping the frontier
-// breadth-first the way the sequential spill search does, so a search that
-// outgrows the ring genuinely overflows to disk. Takes copy records out
-// under the lock, so no worker ever reads bytes another may reuse.
+// byteDeque holds the records one worker published for its idle siblings.
+// Takes move the oldest half — the shallowest states, which tend to root
+// the largest unexplored subtrees — copying records out under the lock,
+// so no worker ever reads bytes another may reuse.
 type byteDeque struct {
 	mu   sync.Mutex
 	recs recSlab
-	_    [32]byte // pad deques apart: owner-written fields stay on one line
+	_    [32]byte // pad deques apart: each mutex stays on its own line
 }
 
-// take moves up to half the live records (at most maxBatch, rounded up)
-// into batch, from the head or the tail.
-func (d *byteDeque) take(batch *recSlab, head bool, st *searchStats) bool {
+// take moves the oldest half of the published records (rounded up) into
+// batch and returns how many it moved.
+func (d *byteDeque) take(batch *recSlab) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.recs.n == 0 {
-		return false
-	}
-	k := min((d.recs.n+1)/2, maxBatch)
-	if head {
-		d.recs.moveFront(batch, k)
-	} else {
-		d.recs.moveBack(batch, k)
-	}
-	st.admit(-k)
-	return true
+	k := (d.recs.n + 1) / 2
+	d.recs.moveFront(batch, k)
+	return k
 }
 
-// wsFrontier is the parallel search's work-stealing frontier over
-// per-worker byte deques, with an optional spill backend: a deque past
-// dequeCap live records moves its oldest half to the shared spill queue,
-// and a worker that finds every deque empty refills from that queue before
-// concluding the search drained. Termination detection is one atomic
-// outstanding-work counter: flush raises it before records become visible
-// and settle lowers it only after their expansion completed, so it reaches
-// zero exactly when every deque is empty and no expansion is in flight.
-// Which worker expands which state is schedule-dependent, but the visited
-// set admits each state exactly once, so counts, outcomes and verdicts are
+// wsFrontier is the search frontier. In memory, each worker owns one
+// record FIFO (local): it pops the state to expand from the front and
+// appends the records of admitted successors at the back, so a record is
+// written once and read in place, and Workers: 1 is a plain breadth-first
+// search. Records move between workers only on demand: while some worker
+// is idle, a busy one publishes the older half of its FIFO on its
+// byteDeque after each expansion, and an idle worker takes half of a
+// deque into its own empty FIFO. With a spill backend, a worker's local
+// slab only buffers its admitted records, which move to the shared spill
+// queue (recQueue) whenever they fill a batch; every batch is refilled
+// from that queue's head, so the frontier stays one breadth-first FIFO
+// whose memory is bounded by spillResidentBound.
+//
+// Termination detection is one atomic counter, work: records published
+// (on a deque or in the spill queue) plus busy workers. Publishing raises
+// it before the records become visible, a take lowers it only after they
+// were removed and the taker counted as busy again, and a worker goes idle
+// only once it has nothing left to expand — so work reaches zero exactly
+// when no record is queued anywhere and no expansion is in flight. Which
+// worker expands which state is schedule-dependent, but the visited set
+// admits each state exactly once, so counts, outcomes and verdicts are
 // identical at any worker count (the determinism tests pin 1/2/4/8).
 type wsFrontier struct {
-	ctx      *searchCtx
-	deques   []byteDeque
-	pend     []recSlab // per-worker admitted records, published by flush
-	over     []recSlab // per-worker overflow on its way to sq
-	sq       *recQueue // spill backend; nil keeps the frontier in the deques
-	spillMu  sync.Mutex
-	dequeCap int
-	work     atomic.Int64 // records pushed but not yet settled
-	stopped  atomic.Bool
+	ctx     *searchCtx
+	deques  []byteDeque
+	local   []recSlab // per-worker FIFO, or admitted records awaiting the spill queue
+	sq      *recQueue // spill backend; nil keeps the frontier in memory
+	spillMu sync.Mutex
+	work    atomic.Int64 // published records plus busy workers
+	idle    atomic.Int32 // workers looking for work
+	stopped atomic.Bool
 }
 
+// newWSFrontier seeds worker 0's local slab with the root record. Every
+// worker starts out busy with nothing to expand; its first take idles it.
 func newWSFrontier(ctx *searchCtx, sq *recQueue, workers int, root []byte) *wsFrontier {
-	f := &wsFrontier{ctx: ctx, deques: make([]byteDeque, workers),
-		pend: make([]recSlab, workers), over: make([]recSlab, workers)}
-	if sq.spills() {
-		f.sq = sq
-		f.dequeCap = max(sq.ring/workers, maxBatch)
-	}
-	f.deques[0].recs.push(root)
-	f.work.Store(1)
+	f := &wsFrontier{ctx: ctx, sq: sq, deques: make([]byteDeque, workers), local: make([]recSlab, workers)}
+	f.local[0].push(root)
+	f.work.Store(int64(workers))
 	ctx.stats.admit(1)
 	return f
 }
 
-// take refills worker w's batch: from its own deque when possible, stolen
-// from a sibling or read back from the spill queue otherwise. It spins down
-// with a short backoff while siblings may still produce work and returns
-// false when the search is complete or stopped.
-func (f *wsFrontier) take(w int, batch *recSlab) bool {
-	batch.reset()
+// take returns the slab worker w expands next: in memory its own FIFO,
+// refilled from a sibling's deque once it ran dry; with a spill backend
+// batch, refilled from the spill queue's head once w's admitted records
+// moved to its tail. It backs off while siblings may still produce work
+// and returns nil when the search is complete or stopped.
+func (f *wsFrontier) take(w int, batch *recSlab) *recSlab {
+	dst := &f.local[w]
+	if f.sq != nil {
+		f.spill(w)
+		batch.reset()
+		dst = batch
+	} else if dst.n > 0 {
+		return dst
+	}
+	f.work.Add(-1)
+	f.idle.Add(1)
+	defer f.idle.Add(-1)
 	for spins := 0; ; spins++ {
 		if f.stopped.Load() {
-			return false
+			return nil
 		}
-		for i := range f.deques {
-			if f.deques[(w+i)%len(f.deques)].take(batch, i > 0 || f.sq != nil, &f.ctx.stats) {
-				return true
-			}
-		}
-		if f.sq != nil && f.refill(batch) {
-			return true
+		if k := f.steal(w, dst); k > 0 {
+			f.work.Add(int64(1 - k))
+			return dst
 		}
 		if f.work.Load() == 0 {
-			return false
+			return nil
 		}
 		idleWait(spins)
 	}
 }
 
-// refill reads up to maxBatch records back from the spill queue.
-func (f *wsFrontier) refill(batch *recSlab) bool {
-	f.spillMu.Lock()
-	defer f.spillMu.Unlock()
-	for batch.n < maxBatch {
-		rec, ok, err := f.sq.pop()
-		if err != nil {
-			f.fail(err)
-			return false
+// steal moves published records into the empty slab dst — from the spill
+// queue's head, or from the first non-empty deque starting at w's own —
+// and returns how many.
+func (f *wsFrontier) steal(w int, dst *recSlab) int {
+	if f.sq != nil {
+		f.spillMu.Lock()
+		defer f.spillMu.Unlock()
+		for dst.n < maxBatch {
+			rec, ok, err := f.sq.pop()
+			if err != nil {
+				f.fail(err)
+				return 0
+			}
+			if !ok {
+				break
+			}
+			dst.push(rec)
 		}
-		if !ok {
-			break
-		}
-		batch.push(rec)
+		return dst.n
 	}
-	f.ctx.stats.admit(-batch.n)
-	return batch.n > 0
+	for i := range f.deques {
+		if k := f.deques[(w+i)%len(f.deques)].take(dst); k > 0 {
+			return k
+		}
+	}
+	return 0
 }
 
-// admit buffers the record of one admitted successor for worker w. next is
-// borrowed — valid only for the duration of the call.
+// admit appends the record of one admitted successor to worker w's local
+// slab. next is borrowed — valid only for the duration of the call.
 func (f *wsFrontier) admit(w int, sc *expandScratch, next *System) {
 	sc.rec = appendSpill(next, sc.rec[:0])
-	f.pend[w].push(sc.rec)
-	if f.pend[w].n >= maxBatch {
-		f.flush(w)
+	l := &f.local[w]
+	l.push(sc.rec)
+	if f.sq != nil && l.n >= maxBatch {
+		f.spill(w)
 	}
 }
 
-// flush publishes worker w's buffered records onto its own deque, moving
-// the deque's oldest half to the spill queue when it outgrew dequeCap.
-func (f *wsFrontier) flush(w int) {
-	pend, over := &f.pend[w], &f.over[w]
-	n := pend.n
-	if n == 0 {
+// share runs after each of worker w's expansions, q being the slab it
+// expands: while a sibling is idle, it publishes work — its admitted
+// records to the spill queue, or in memory the older half of its FIFO on
+// its deque unless the last records it published are still there.
+func (f *wsFrontier) share(w int, q *recSlab) {
+	if f.idle.Load() == 0 {
 		return
 	}
-	f.work.Add(int64(n))
+	if f.sq != nil {
+		f.spill(w)
+		return
+	}
+	k := q.n / 2
+	if k == 0 {
+		return
+	}
 	d := &f.deques[w]
 	d.mu.Lock()
-	pend.moveFront(&d.recs, n)
-	f.ctx.stats.admit(n)
-	if f.sq != nil && d.recs.n > f.dequeCap {
-		d.recs.moveFront(over, d.recs.n/2)
+	if d.recs.n == 0 {
+		f.work.Add(int64(k))
+		q.moveFront(&d.recs, k)
 	}
 	d.mu.Unlock()
-	pend.reset()
-	if over.n == 0 {
+}
+
+// spill moves worker w's admitted records, in order, to the spill queue.
+func (f *wsFrontier) spill(w int) {
+	l := &f.local[w]
+	if f.sq == nil || l.n == 0 {
 		return
 	}
+	f.work.Add(int64(l.n))
 	f.spillMu.Lock()
-	for rec, ok := over.popFront(); ok; rec, ok = over.popFront() {
+	for rec, ok := l.popFront(); ok; rec, ok = l.popFront() {
 		if err := f.sq.push(rec); err != nil {
 			f.fail(err)
 			break
 		}
 	}
 	f.spillMu.Unlock()
-	over.reset()
+	l.reset()
 }
 
-func (f *wsFrontier) settle(n int) { f.work.Add(int64(-n)) }
-func (f *wsFrontier) stop()        { f.stopped.Store(true) }
+func (f *wsFrontier) stop() { f.stopped.Store(true) }
 
 // fail records a frontier fault and stops the search.
 func (f *wsFrontier) fail(err error) {
@@ -378,14 +366,11 @@ func (f *wsFrontier) fail(err error) {
 
 // spillResidentBound is the documented cap on frontier records held in
 // memory by a search spilling with the given ring and worker count: the
-// spill queue's head and tail windows (a ring each), plus, in parallel,
-// every deque at its cap with one more published batch.
+// spill queue's head and tail windows (a ring each) plus every worker's
+// batch and admitted records (a maxBatch each).
 func spillResidentBound(ring, workers int) int {
 	if ring <= 0 {
 		ring = defaultSpillRing
 	}
-	if workers <= 1 {
-		return 2 * ring
-	}
-	return 2*ring + workers*(max(ring/workers, maxBatch)+maxBatch)
+	return 2*ring + 2*maxBatch*workers
 }

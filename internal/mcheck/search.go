@@ -53,11 +53,9 @@ type Options struct {
 	// records (compact spill-codec encodings, see decode.go) are consumed
 	// FIFO, and beyond a bounded in-memory ring they spill in waves to temp
 	// files under this directory, streamed back in order. Frontier memory
-	// stays within 2·SpillRing records sequentially and 2·SpillRing +
-	// workers·(max(SpillRing/workers, 64) + 64) in parallel
-	// (Result.PeakResident). An I/O failure ends the search with
-	// Result.Err: a half-lost frontier cannot produce a trustworthy
-	// verdict.
+	// stays within 2·SpillRing + 128·workers records (Result.PeakResident).
+	// An I/O failure ends the search with Result.Err: a half-lost frontier
+	// cannot produce a trustworthy verdict.
 	SpillDir string
 	// SpillRing caps in-memory frontier records per window when spilling
 	// (0 = 32Ki records).
@@ -65,14 +63,14 @@ type Options struct {
 	// SpillWriter, when non-nil, wraps the writer of every wave file — a
 	// fault-injection seam (tests fail writes mid-wave with it).
 	SpillWriter func(io.Writer) io.Writer
-	// Workers sets the search parallelism: 0 uses runtime.NumCPU() workers
-	// over a shared frontier, 1 forces the sequential breadth-first search
-	// (deterministic visit order; exact first-deadlock and truncation
-	// reporting), N>1 uses exactly N workers. Parallel searches visit the
-	// same state set and report the same counts and outcomes as the
-	// sequential search (the ample choice under POR is a pure function of
-	// the state, so this holds with the reduction on too); only the exact
-	// state count at truncation depends on scheduling.
+	// Workers sets the search parallelism: 0 uses runtime.NumCPU()
+	// workers, N>0 exactly N, all running one work-stealing loop (worker 0
+	// on the calling goroutine). Every worker count visits the same state
+	// set and reports the same counts, outcomes and DeadlockAt (the ample
+	// choice under POR is a pure function of the state, so this holds with
+	// the reduction on too); only the exact state count at truncation
+	// depends on scheduling. Workers: 1 has no thieves, so its visit order
+	// — breadth-first — and its truncation point are deterministic.
 	Workers int
 	// Encoding keys the visited set: EncodingBinary (default, compact and
 	// allocation-lean) or EncodingSnapshot (the human-readable string
@@ -149,7 +147,7 @@ type Result struct {
 	States        int                 // distinct states visited (canonical under symmetry)
 	Transitions   int                 // moves applied
 	Deadlocks     int                 // states with pending work but no moves (orbit-corrected)
-	DeadlockAt    string              // snapshot of a deadlock (first in sequential mode, lex-least in parallel)
+	DeadlockAt    string              // snapshot of the lexicographically least deadlock state
 	Outcomes      memmodel.OutcomeSet // outcomes at quiescent states
 	Violations    []string            // invariant failures
 	Truncated     bool                // MaxStates (or the visited-table budget) hit
@@ -246,7 +244,6 @@ type searchCtx struct {
 	opts      Options
 	maxStates int
 	canon     *canonicalizer
-	parallel  bool
 	por       bool       // ample-set reduction active for this search
 	porCands  []porCand  // reduction candidates (top-level caches)
 	loadKeys  [][]string // per core, per completed-load index
@@ -303,8 +300,8 @@ func (st *searchStats) admit(n int) {
 	st.resident.add(n)
 }
 
-func newSearchCtx(initial *System, opts Options, maxStates int, parallel bool) *searchCtx {
-	ctx := &searchCtx{opts: opts, maxStates: maxStates, parallel: parallel}
+func newSearchCtx(initial *System, opts Options, maxStates int) *searchCtx {
+	ctx := &searchCtx{opts: opts, maxStates: maxStates}
 	if opts.Symmetry {
 		ctx.canon = detectSymmetry(initial, opts)
 	}
@@ -394,11 +391,11 @@ func (ctx *searchCtx) orbitOutcomes(s *System, set memmodel.OutcomeSet) {
 	}
 }
 
-// Explore runs an exhaustive search from the initial system state: a
-// deterministic breadth-first walk with Workers: 1, a work-stealing search
-// over a shared visited set otherwise. Both visit every reachable state
-// (modulo the MaxStates budget) and agree on state/transition/deadlock
-// counts and the outcome set.
+// Explore runs an exhaustive search from the initial system state: one
+// work-stealing loop over a shared visited set at every worker count. It
+// visits every reachable state (modulo the MaxStates budget), and every
+// worker count agrees on state/transition/deadlock counts, DeadlockAt and
+// the outcome set.
 func Explore(initial *System, opts Options) *Result {
 	return ExploreCtx(context.Background(), initial, opts)
 }
@@ -421,10 +418,10 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	workers := opts.workers()
 	if initial.OnDeliver != nil {
 		// Delivery observers (sequence charts, FSM recorders) are shared
-		// by clones and not synchronized; keep those walks sequential.
+		// by clones and not synchronized; keep those walks to one worker.
 		workers = 1
 	}
-	ctx := newSearchCtx(initial, opts, maxStates, workers > 1)
+	ctx := newSearchCtx(initial, opts, maxStates)
 	q, err := newRecQueue(opts, &ctx.stats)
 	if err != nil {
 		return &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: maxStates, Engine: initial.Engine(), Err: err}
@@ -439,13 +436,8 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	root := appendSpill(initial, nil)
 
 	stopProgress := startProgress(ctx, visited, q)
-	var res *Result
-	if workers == 1 {
-		res = exploreSeq(initial, root, ctx, visited, q)
-	} else {
-		freezeComponents(initial)
-		res = exploreParallel(initial, ctx, workers, visited, newWSFrontier(ctx, q, workers, root))
-	}
+	freezeComponents(initial)
+	res := exploreFrontier(initial, ctx, workers, visited, newWSFrontier(ctx, q, workers, root))
 	stopProgress()
 	res.SymmetryPerms = ctx.canon.Perms()
 	res.Engine = initial.Engine()
@@ -462,9 +454,9 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 		res.Truncated = true
 		res.BudgetFull = true
 	}
-	if q.spills() {
+	if q != nil {
 		res.Storage += "+spill"
-		res.SpilledStates = q.spilledStates.Load()
+		res.SpilledStates = q.spilled()
 		res.SpilledBytes = q.spilledBytes.Load()
 		res.PeakResident = ctx.stats.resident.peak.Load()
 		res.PeakFrontier = ctx.stats.frontier.peak.Load()
@@ -532,7 +524,7 @@ func startProgress(ctx *searchCtx, visited visitedSet, q *recQueue) func() {
 					Visited:       n,
 					Frontier:      int(ctx.stats.frontier.cur.Load()),
 					LoadFactor:    visited.load(),
-					SpilledStates: q.spilledStates.Load(),
+					SpilledStates: q.spilled(),
 					HeapBytes:     ms.HeapAlloc,
 				}
 				if dt := now.Sub(lastT).Seconds(); dt > 0 {
@@ -559,59 +551,9 @@ func (ctx *searchCtx) decode(cur *System, rec []byte, sc *expandScratch) error {
 	return nil
 }
 
-// exploreSeq is the deterministic sequential breadth-first search: one
-// FIFO of records (in memory or spilling, see recQueue) decoded one at a
-// time into a single cursor, a clone of the initial state. Admitted
-// successors are encoded straight to records, so the search never holds a
-// System beyond its cursor.
-func exploreSeq(initial *System, root []byte, ctx *searchCtx, visited visitedSet, q *recQueue) *Result {
-	res := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
-	cur := initial.Clone()
-	ins := visited.handle(0)
-	var sc expandScratch
-	enqueue := func(rec []byte) {
-		ctx.stats.admit(1)
-		if err := q.push(rec); err != nil {
-			ctx.fail(err)
-		}
-	}
-	enqueue(root)
-	for {
-		if visited.Size() > ctx.maxStates || visited.Full() {
-			res.Truncated = true
-			break
-		}
-		if ctx.halt.Load() {
-			res.Cancelled = true
-			break
-		}
-		rec, ok, err := q.pop()
-		if err != nil {
-			ctx.fail(err)
-			break
-		}
-		if !ok {
-			break
-		}
-		ctx.stats.admit(-1)
-		if err := ctx.decode(cur, rec, &sc); err != nil {
-			ctx.fail(err)
-			break
-		}
-		ins.Begin()
-		ctx.expand(cur, rec, res, &sc, ins.Insert, func(next *System) {
-			sc.rec = appendSpill(next, sc.rec[:0])
-			enqueue(sc.rec)
-		})
-		ins.End()
-	}
-	return res
-}
-
 // expand processes the state decoded into cur from record img:
 // invariants, successor generation (insert filters duplicates, enqueue
-// receives the new ones) and deadlock/outcome classification. Shared by
-// both search loops.
+// receives the new ones) and deadlock/outcome classification.
 //
 // Moves are applied to cur *in place*: the successor is encoded, handed to
 // enqueue *borrowed* only if the visited set actually admits it (the
@@ -635,7 +577,7 @@ func exploreSeq(initial *System, root []byte, ctx *searchCtx, visited visitedSet
 // state as terminal; full expansion resumes there. Because the ample
 // choice is a pure function of the state — never of visit order or
 // visited-set contents — the reduced graph is a fixed subgraph and the
-// parallel reduced search reports the same counts as the sequential one.
+// reduced search reports the same counts at every worker count.
 func (ctx *searchCtx) expand(cur *System, img []byte, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) {
 	res.States++
 	for _, inv := range ctx.opts.Invariants {
@@ -663,15 +605,11 @@ func (ctx *searchCtx) expand(cur *System, img []byte, res *Result, sc *expandScr
 	} else {
 		res.Deadlocks++
 	}
-	if res.DeadlockAt == "" {
-		res.DeadlockAt = cur.Snapshot()
-	} else if ctx.parallel {
-		// Parallel visit order is nondeterministic; keeping the
-		// lexicographically least snapshot per worker (and across workers
-		// at merge) makes the diagnostic stable run-to-run.
-		if snap := cur.Snapshot(); snap < res.DeadlockAt {
-			res.DeadlockAt = snap
-		}
+	// Visit order depends on the schedule; keeping the lexicographically
+	// least snapshot per worker (and across workers at merge) makes the
+	// diagnostic the same at every worker count.
+	if snap := cur.Snapshot(); res.DeadlockAt == "" || snap < res.DeadlockAt {
+		res.DeadlockAt = snap
 	}
 }
 
@@ -759,59 +697,64 @@ func idleWait(spins int) {
 	}
 }
 
-// exploreParallel runs the work-stealing search: each worker takes record
-// batches from the frontier, decodes them one by one into its own cursor
-// (a clone of the initial state), filters successors through the shared
-// visited set, and results merge at the end.
-func exploreParallel(initial *System, ctx *searchCtx, workers int, visited visitedSet, f *wsFrontier) *Result {
+// exploreFrontier runs the search: each worker takes records from the
+// frontier, decodes them one by one into its own cursor (a clone of the
+// initial state), filters successors through the shared visited set, and
+// results merge at the end. Worker 0 runs on the calling goroutine.
+func exploreFrontier(initial *System, ctx *searchCtx, workers int, visited visitedSet, f *wsFrontier) *Result {
 	var truncated, cancelled atomic.Bool
-
 	results := make([]*Result, workers)
+	cursors := make([]*System, workers)
+	for w := range results {
+		results[w] = &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
+		cursors[w] = initial.Clone()
+	}
+	work := func(w int) {
+		res, cur, ins := results[w], cursors[w], visited.handle(w)
+		var sc expandScratch
+		var batch recSlab // refilled from the spill queue (see wsFrontier.take)
+		admitted := 0
+		enqueue := func(next *System) {
+			f.admit(w, &sc, next)
+			admitted++
+		}
+		for q := f.take(w, &batch); q != nil; q = f.take(w, &batch) {
+			for rec, ok := q.popFront(); ok; rec, ok = q.popFront() {
+				if visited.Size() > ctx.maxStates || visited.Full() {
+					truncated.Store(true)
+					f.stop()
+					return
+				}
+				if ctx.halt.Load() {
+					// Same shutdown as truncation: stop the frontier so
+					// sibling workers' take returns false, and let the
+					// merged result carry the flag.
+					cancelled.Store(true)
+					f.stop()
+					return
+				}
+				if err := ctx.decode(cur, rec, &sc); err != nil {
+					f.fail(err)
+					return
+				}
+				admitted = 0
+				ins.Begin()
+				ctx.expand(cur, rec, res, &sc, ins.Insert, enqueue)
+				ins.End()
+				ctx.stats.admit(admitted - 1)
+				f.share(w, q)
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		res := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
-		results[w] = res
-		ins := visited.handle(w)
-		cur := initial.Clone()
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var sc expandScratch
-			var batch recSlab
-			for f.take(w, &batch) {
-				n := batch.n
-				for rec, ok := batch.popFront(); ok; rec, ok = batch.popFront() {
-					if visited.Size() > ctx.maxStates || visited.Full() {
-						truncated.Store(true)
-						f.stop()
-						f.settle(n)
-						return
-					}
-					if ctx.halt.Load() {
-						// Same shutdown as truncation: stop the frontier so
-						// sibling workers' take returns false, settle this
-						// batch, and let the merged result carry the flag.
-						cancelled.Store(true)
-						f.stop()
-						f.settle(n)
-						return
-					}
-					if err := ctx.decode(cur, rec, &sc); err != nil {
-						f.fail(err)
-						f.settle(n)
-						return
-					}
-					ins.Begin()
-					ctx.expand(cur, rec, res, &sc, ins.Insert, func(next *System) {
-						f.admit(w, &sc, next)
-					})
-					ins.End()
-					f.flush(w)
-				}
-				f.settle(n)
-			}
+			work(w)
 		}(w)
 	}
+	work(0)
 	wg.Wait()
 
 	merged := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates,

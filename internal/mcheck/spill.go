@@ -8,22 +8,20 @@ import (
 	"sync/atomic"
 )
 
-// recQueue is the FIFO frontier of the sequential search and the spill
-// backend of the parallel one. Without a spill directory it is one record
-// slab, pushed at the back and popped at the front. With one, only a
-// bounded window lives in memory — a head slab being consumed, a tail slab
-// being filled, and an ordered list of "wave" files holding everything in
-// between. When the tail reaches the ring capacity it is written to a new
-// wave file; when the head runs dry the oldest wave is read back (or, with
-// no waves on disk, head and tail swap). Frontier memory is therefore
-// O(ring), however wide the search gets.
+// recQueue is the spill backend of the search frontier: a FIFO of records
+// of which only a bounded window lives in memory — a head slab being
+// consumed, a tail slab being filled, and an ordered list of "wave" files
+// holding everything in between. When the tail reaches the ring capacity
+// it is written to a new wave file; when the head runs dry the oldest wave
+// is read back (or, with no waves on disk, head and tail swap). Frontier
+// memory is therefore O(ring), however wide the search gets.
 //
-// The queue is not goroutine-safe; the parallel search serializes access
-// through its spill mutex. The first I/O error is sticky: every later push
-// and pop returns it, since a half-lost frontier cannot produce a
-// trustworthy verdict.
+// The queue is not goroutine-safe; the frontier serializes access through
+// its spill mutex. The first I/O error is sticky: every later push and pop
+// returns it, since a half-lost frontier cannot produce a trustworthy
+// verdict.
 type recQueue struct {
-	dir     string // per-search temp directory, removed by close ("" = memory only)
+	dir     string // per-search temp directory, removed by close
 	ring    int    // records per wave
 	wrap    func(io.Writer) io.Writer
 	stats   *searchStats
@@ -45,13 +43,13 @@ type recQueue struct {
 // records in memory, a few MB at typical record sizes).
 const defaultSpillRing = 1 << 15
 
-// newRecQueue creates the search's FIFO: memory only when opts.SpillDir is
-// empty, otherwise spilling into a private temp directory under it.
+// newRecQueue creates the spill backend in a private temp directory under
+// opts.SpillDir, or returns nil when opts.SpillDir is empty.
 func newRecQueue(opts Options, stats *searchStats) (*recQueue, error) {
-	q := &recQueue{ring: opts.SpillRing, wrap: opts.SpillWriter, stats: stats}
 	if opts.SpillDir == "" {
-		return q, nil
+		return nil, nil
 	}
+	q := &recQueue{ring: opts.SpillRing, wrap: opts.SpillWriter, stats: stats}
 	if q.ring <= 0 {
 		q.ring = defaultSpillRing
 	}
@@ -63,15 +61,19 @@ func newRecQueue(opts Options, stats *searchStats) (*recQueue, error) {
 	return q, nil
 }
 
-// spills reports whether the queue writes waves to disk.
-func (q *recQueue) spills() bool { return q.dir != "" }
-
 // close removes every spill file and the temp directory.
 func (q *recQueue) close() {
-	if q.dir != "" {
+	if q != nil {
 		os.RemoveAll(q.dir)
-		q.dir = ""
 	}
+}
+
+// spilled returns the records written to disk so far (0 for a nil queue).
+func (q *recQueue) spilled() int64 {
+	if q == nil {
+		return 0
+	}
+	return q.spilledStates.Load()
 }
 
 // len returns the number of queued records.
@@ -81,10 +83,6 @@ func (q *recQueue) len() int { return q.head.n + q.tail.n + q.onDisk }
 func (q *recQueue) push(rec []byte) error {
 	if q.err != nil {
 		return q.err
-	}
-	if !q.spills() {
-		q.head.push(rec)
-		return nil
 	}
 	q.tail.push(rec)
 	if q.tail.n >= q.ring {
@@ -99,7 +97,7 @@ func (q *recQueue) pop() ([]byte, bool, error) {
 	if q.err != nil {
 		return nil, false, q.err
 	}
-	if rec, ok := q.head.popFront(); ok || !q.spills() {
+	if rec, ok := q.head.popFront(); ok {
 		return rec, ok, nil
 	}
 	q.head.reset()

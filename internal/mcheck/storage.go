@@ -567,7 +567,7 @@ const bloomStripes = 512
 // words), and a mutex stripe keyed by the state's fingerprint serializes
 // concurrent inserts of the same state — otherwise two workers could each
 // flip a different one of its bits, both report it new, and the state
-// would be expanded twice (parallel counts would drift from sequential).
+// would be expanded twice (counts would drift between worker counts).
 // Never "full": past its working capacity it degrades by omitting states,
 // which the fill-based omission estimate exposes.
 type bloomSet struct {

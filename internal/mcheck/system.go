@@ -645,7 +645,10 @@ func (s *System) appendMovesSlow(out []Move, evictions bool) []Move {
 
 // Apply executes the move in place. It returns false if the move stalled
 // (delivery refused); the system is unchanged in that case except for
-// harmless line materialization.
+// harmless line materialization. A move that faulted — a component
+// reported an error through the Env, or a message has no destination —
+// returns false too, with the fault kept for takeFault and the system
+// left half-applied: it must be discarded.
 func (s *System) Apply(m Move) bool {
 	switch m.Kind {
 	case MoveDeliver:
@@ -656,7 +659,8 @@ func (s *System) Apply(m Move) bool {
 		msg := s.chans[ci].msgs[0]
 		idx := s.componentOf(msg.Dst)
 		if idx < 0 {
-			panic(fmt.Sprintf("mcheck: message to unrouted node %d", msg.Dst))
+			sysEnv{s}.Fault(fmt.Errorf("mcheck: %s sent to unrouted node %d", msg, msg.Dst))
+			return false
 		}
 		if !s.Components[idx].Deliver(s.env(), msg) {
 			return false
@@ -692,5 +696,5 @@ func (s *System) Apply(m Move) bool {
 		s.noteMutation(s.touched)
 	}
 	s.syncCores()
-	return true
+	return s.fault == nil
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"heterogen/internal/protocols"
 )
 
 // TestWorkStealingDeterminism pins the work-stealing frontier's core
@@ -72,74 +74,94 @@ func drain(s *recSlab) []string {
 	return out
 }
 
-// TestWSDequeMechanics exercises the byte deque directly: thieves take
-// half (rounded up) from the head, the owner takes from the tail, maxBatch
-// caps a take, and repeated cycles reuse chunks instead of growing.
+// TestWSDequeMechanics exercises the frontier's in-memory hand-offs: a
+// worker expands its own FIFO in place; while a sibling is idle, share
+// publishes the older half of it on the worker's deque (once, until
+// taken); takes move the oldest half of a deque, rounded up, into the
+// taker's empty FIFO; and repeated cycles reuse chunks instead of growing.
 func TestWSDequeMechanics(t *testing.T) {
-	var d byteDeque
-	var st searchStats
+	ctx := &searchCtx{}
 	all := recs(10)
+	f := newWSFrontier(ctx, nil, 2, all[0])
+	var batch recSlab
+	q := f.take(0, &batch)
+	if q != &f.local[0] || q.n != 1 {
+		t.Fatal("first take did not hand worker 0 its own FIFO holding the root")
+	}
+	q.popFront()
+	for _, r := range all[1:] {
+		q.push(r)
+	}
+	f.share(0, q)
+	if f.deques[0].recs.n != 0 {
+		t.Fatal("share published work with no sibling idle")
+	}
+	f.idle.Store(1)
+	f.share(0, q)
+	f.share(0, q)
+	f.idle.Store(0)
+	if f.deques[0].recs.n != 4 || q.n != 5 {
+		t.Fatalf("share published %d records and kept %d, want the older 4 of 9, once", f.deques[0].recs.n, q.n)
+	}
+	if stolen := f.take(1, &batch); stolen != &f.local[1] || strings.Join(drain(stolen), ",") != "rec-00001,rec-00002" {
+		t.Fatal("an idle worker did not take the oldest half of its sibling's deque into its own FIFO")
+	}
+	if got := f.work.Load(); got != 4 {
+		t.Fatalf("work = %d, want 2 published records + 2 busy workers", got)
+	}
+
+	var d byteDeque
 	for _, r := range all {
 		d.recs.push(r)
 	}
-	var batch recSlab
-	if !d.take(&batch, true, &st) {
-		t.Fatal("take from a full deque failed")
+	if k := d.take(&batch); k != 5 {
+		t.Fatalf("take moved %d of 10, want 5", k)
 	}
 	if got := drain(&batch); len(got) != 5 || got[0] != "rec-00000" || got[4] != "rec-00004" {
-		t.Fatalf("steal took %v, want the oldest 5 in order", got)
+		t.Fatalf("take got %v, want the oldest 5 in order", got)
 	}
 	batch.reset()
-	d.take(&batch, false, &st)
-	if got := drain(&batch); len(got) != 3 || got[0] != "rec-00007" || got[2] != "rec-00009" {
-		t.Fatalf("owner take got %v, want the newest 3 in order", got)
+	if k := d.take(&batch); k != 3 {
+		t.Fatalf("take moved %d of 5, want 3", k)
 	}
 	batch.reset()
-	for _, r := range recs(1000) {
-		d.recs.push(r)
-	}
-	if d.take(&batch, false, &st); batch.n != maxBatch {
-		t.Fatalf("take ignored maxBatch: took %d", batch.n)
-	}
-	if st.frontier.cur.Load() != -int64(5+3+maxBatch) {
-		t.Fatalf("takes counted %d records off the frontier", -st.frontier.cur.Load())
-	}
 
-	// Records many chunks wide survive a tail take that spans chunks.
+	// Records many chunks wide survive a move that spans chunks.
 	var big recSlab
 	wide := bytes.Repeat([]byte{'x'}, slabChunkBytes/3)
 	for i := 0; i < 7; i++ {
 		big.push(append([]byte{byte(i)}, wide...))
 	}
 	var got recSlab
-	big.moveBack(&got, 5)
-	for i := 2; i < 7; i++ {
+	big.moveFront(&got, 5)
+	for i := 0; i < 5; i++ {
 		rec, _ := got.popFront()
 		if rec[0] != byte(i) || len(rec) != len(wide)+1 {
-			t.Fatalf("cross-chunk take returned record %d (len %d), want %d", rec[0], len(rec), i)
+			t.Fatalf("cross-chunk move returned record %d (len %d), want %d", rec[0], len(rec), i)
 		}
 	}
-	if rest := drain(&big); len(rest) != 2 || rest[1][0] != 1 {
-		t.Fatalf("cross-chunk take left %d records", len(rest))
+	if rest := drain(&big); len(rest) != 2 || rest[1][0] != 6 {
+		t.Fatalf("cross-chunk move left %d records", len(rest))
 	}
 
-	// Push/steal cycles recycle chunks rather than accumulating them.
+	// Push/take cycles recycle chunks rather than accumulating them.
 	var d2 byteDeque
 	for i := 0; i < 20000; i++ {
 		d2.recs.push(all[i%10])
 		d2.recs.push(all[i%10])
 		batch.reset()
-		d2.take(&batch, true, &st)
-		d2.take(&batch, true, &st)
+		d2.take(&batch)
+		d2.take(&batch)
 	}
 	if n := len(d2.recs.chunks); n > 2 {
 		t.Fatalf("drained deque still holds %d chunks", n)
 	}
 }
 
-// TestWSByteDequeOverflow pins the spill frontier's cap contract: once a
-// worker's deque outgrows dequeCap, flush moves its oldest half, in order,
-// to the spill queue, and the deque keeps the newest records.
+// TestWSByteDequeOverflow pins the spill frontier's batch contract: a
+// spilling worker's admitted records move, in order, to the spill queue
+// whenever they fill a batch, and take refills at most maxBatch records at
+// a time from the queue's head, so the frontier stays one FIFO.
 func TestWSByteDequeOverflow(t *testing.T) {
 	ctx := &searchCtx{}
 	q, err := newRecQueue(Options{SpillDir: t.TempDir(), SpillRing: 2 * maxBatch}, &ctx.stats)
@@ -147,86 +169,90 @@ func TestWSByteDequeOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q.close()
-	all := recs(2 * maxBatch)
-	f := newWSFrontier(ctx, q, 2, all[0])
-	if f.dequeCap != maxBatch {
-		t.Fatalf("dequeCap = %d, want %d", f.dequeCap, maxBatch)
+	all := recs(3 * maxBatch)
+	sys := NewHomogeneous(protocols.MustByName(protocols.NameMSI), 2)
+	f := newWSFrontier(ctx, q, 1, all[0])
+	var sc expandScratch
+	for i := 1; i < maxBatch-1; i++ {
+		f.local[0].push(all[i])
 	}
-	for _, r := range all[1 : maxBatch-1] {
-		f.pend[0].push(r)
-	}
-	f.flush(0)
 	if q.len() != 0 {
-		t.Fatalf("%d records overflowed below the cap", q.len())
+		t.Fatalf("%d records reached the queue below a batch", q.len())
 	}
-	for _, r := range all[maxBatch-1:] {
-		f.pend[0].push(r)
-		if f.pend[0].n == maxBatch/2 {
-			f.flush(0)
+	f.admit(0, &sc, sys) // the maxBatch-th admitted record
+	if q.len() != maxBatch || f.local[0].n != 0 {
+		t.Fatalf("a full batch of admitted records moved %d, kept %d; want %d, 0", q.len(), f.local[0].n, maxBatch)
+	}
+	for _, r := range all[maxBatch:] {
+		f.local[0].push(r)
+	}
+	var batch recSlab
+	for i := 0; i < len(all); {
+		b := f.take(0, &batch)
+		if b != &batch {
+			t.Fatalf("take ran dry after %d records", i)
+		}
+		if b.n > maxBatch {
+			t.Fatalf("take refilled %d records, cap %d", b.n, maxBatch)
+		}
+		for rec, ok := b.popFront(); ok; rec, ok = b.popFront() {
+			want := string(all[i])
+			if i == maxBatch-1 {
+				want = string(appendSpill(sys, nil))
+			}
+			if string(rec) != want {
+				t.Fatalf("record %d is %q, want %q", i, rec, want)
+			}
+			i++
 		}
 	}
-	f.flush(0)
-	if q.len() == 0 || q.len()+f.deques[0].recs.n != len(all) {
-		t.Fatalf("overflow moved %d records, deque kept %d of %d", q.len(), f.deques[0].recs.n, len(all))
+	if q.spilled() == 0 {
+		t.Fatal("a ring of 2 batches never wrote a wave")
 	}
-	var spilled recSlab
-	for i := 0; ; i++ {
-		rec, ok, err := q.pop()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if string(rec) != string(all[i]) {
-			t.Fatalf("overflow record %d is %q, want the oldest in order", i, rec)
-		}
-		spilled.push(rec)
-	}
-	if rest := drain(&f.deques[0].recs); rest[len(rest)-1] != string(all[len(all)-1]) ||
-		rest[0] != string(all[spilled.n]) {
-		t.Fatalf("deque kept %s..%s, want the newest records", rest[0], rest[len(rest)-1])
-	}
-	if got := ctx.stats.frontier.cur.Load(); got != int64(len(all)) {
-		t.Fatalf("frontier gauge %d, want %d", got, len(all))
+	if f.take(0, &batch) != nil {
+		t.Fatal("take found work in a drained frontier")
 	}
 }
 
 // TestFrontierRecordSurvivesPushes pins the aliasing contract the search
-// loops rely on: a popped record is the restore image of the state being
-// expanded, so successors appended to the same slab or queue meanwhile —
-// filling its chunk, opening new ones, writing waves to disk — must leave
-// its bytes intact.
+// loop relies on: a popped record is the restore image of the state being
+// expanded, so successors appended meanwhile — to the same worker FIFO, or
+// to the spill queue, filling its chunk, opening new ones, writing waves
+// to disk — must leave its bytes intact until the next pop.
 func TestFrontierRecordSurvivesPushes(t *testing.T) {
 	wide := func(i int) []byte {
 		return []byte(fmt.Sprintf("%06d-%s", i, strings.Repeat("s", 200+i%50)))
 	}
 	for _, spill := range []bool{false, true} {
-		opts := Options{SpillRing: 64}
+		var fifo recSlab
+		push := func(rec []byte) error { fifo.push(rec); return nil }
+		pop := func() ([]byte, bool, error) { rec, ok := fifo.popFront(); return rec, ok, nil }
+		var q *recQueue
 		if spill {
-			opts.SpillDir = t.TempDir()
-		}
-		q, err := newRecQueue(opts, new(searchStats))
-		if err != nil {
-			t.Fatal(err)
+			var err error
+			if q, err = newRecQueue(Options{SpillRing: 64, SpillDir: t.TempDir()}, new(searchStats)); err != nil {
+				t.Fatal(err)
+			}
+			defer q.close()
+			push, pop = q.push, q.pop
 		}
 		next, popped := 0, 0
-		push := func() {
-			if err := q.push(wide(next)); err != nil {
+		pushNext := func() {
+			if err := push(wide(next)); err != nil {
 				t.Fatal(err)
 			}
 			next++
 		}
-		push()
+		pushNext()
 		for popped < 5000 {
-			rec, ok, err := q.pop()
+			rec, ok, err := pop()
 			if err != nil || !ok {
 				t.Fatalf("spill=%t: pop %d: ok=%t err=%v", spill, popped, ok, err)
 			}
 			want := wide(popped)
 			// Expand: push a few successors before reading the record back.
 			for k := 0; k < 3 && next < 6000; k++ {
-				push()
+				pushNext()
 			}
 			if !bytes.Equal(rec, want) {
 				t.Fatalf("spill=%t: record %d changed while successors were pushed:\ngot  %q\nwant %q",
@@ -234,10 +260,9 @@ func TestFrontierRecordSurvivesPushes(t *testing.T) {
 			}
 			popped++
 		}
-		if spill && q.spilledStates.Load() == 0 {
+		if spill && q.spilled() == 0 {
 			t.Fatal("ring of 64 never wrote a wave")
 		}
-		q.close()
 	}
 }
 
@@ -253,6 +278,7 @@ func TestSpillPeaksDeterministic(t *testing.T) {
 		t.Fatalf("peaks differ between reruns: %d/%d vs %d/%d",
 			a.PeakResident, a.PeakFrontier, b.PeakResident, b.PeakFrontier)
 	}
+	t.Logf("peaks: %d records resident, %d queued; %d spilled", a.PeakResident, a.PeakFrontier, a.SpilledStates)
 	if err := CheckSpillBound(a, 128, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -262,5 +288,42 @@ func TestSpillPeaksDeterministic(t *testing.T) {
 	mem := exploreWith(t, sb(), 1, Options{Evictions: true, POR: POROff})
 	if mem.PeakResident != 0 || mem.PeakFrontier != 0 {
 		t.Fatalf("in-memory search reported spill peaks %d/%d", mem.PeakResident, mem.PeakFrontier)
+	}
+}
+
+// TestDeadlockAtAgreement plants a deadlock — MSI's directory loses the
+// row that completes a forwarded GetS, so S_D never drains — and pins
+// that every worker count, in memory and spilling, reports the same
+// deadlock count and the same DeadlockAt: the lexicographically least
+// deadlocked snapshot, whichever worker found it first.
+func TestDeadlockAtAgreement(t *testing.T) {
+	p := badMSI(t, "  S_D msg Data -> S : writemem\n", "")
+	progs, keys := reqsFor(sb())
+	var base *Result
+	for _, workers := range []int{1, 2, 4} {
+		for _, spill := range []bool{false, true} {
+			opts := Options{Workers: workers, Evictions: true, LoadKeys: keys}
+			if spill {
+				opts.SpillDir, opts.SpillRing = t.TempDir(), 64
+			}
+			sys := NewHomogeneous(p, 2)
+			sys.SetPrograms(progs)
+			res := Explore(sys, opts)
+			if res.Err != nil || res.Truncated {
+				t.Fatalf("workers=%d spill=%t: %s", workers, spill, res)
+			}
+			if base == nil {
+				if res.Deadlocks == 0 || res.DeadlockAt == "" {
+					t.Fatalf("the planted deadlock was not found: %s", res)
+				}
+				base = res
+				t.Logf("%d states, %d deadlocks", res.States, res.Deadlocks)
+				continue
+			}
+			if res.Deadlocks != base.Deadlocks || res.DeadlockAt != base.DeadlockAt {
+				t.Fatalf("workers=%d spill=%t: %d deadlocks at\n%s\nworkers=1: %d at\n%s",
+					workers, spill, res.Deadlocks, res.DeadlockAt, base.Deadlocks, base.DeadlockAt)
+			}
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"heterogen/internal/core"
 	"heterogen/internal/engine"
 	"heterogen/internal/protocols"
+	"heterogen/internal/spec"
 )
 
 // testServer builds a server with quiet logs and an httptest front end,
@@ -408,6 +409,44 @@ func TestTableMissFailsJob(t *testing.T) {
 		json.Unmarshal(m["error"], &msg)
 		if !strings.Contains(msg, "has no entry for state 0") {
 			t.Fatalf("workers=%d: failed job's error %q does not name the table miss", workers, msg)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after a failed job: status %d", resp.StatusCode)
+	}
+	id := postJob(t, ts, `{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1}}}`)
+	waitState(t, ts, id, StateDone)
+}
+
+// TestBadProtocolFailsJob: a check job whose inline protocol forwards to
+// an absent owner (MSI's GetS-in-I row rewritten to send to the owner)
+// ends "failed" with that fault as its error, at one and four search
+// workers, and the daemon survives it: /healthz answers and the next job
+// completes.
+func TestBadProtocolFailsJob(t *testing.T) {
+	src := spec.ExportPCC(protocols.MustByName(protocols.NameMSI))
+	good := "I msg GetS -> S : send Data msgsrc mem, addsharer"
+	if !strings.Contains(src, good) {
+		t.Fatal("MSI no longer has the GetS-in-I row the bad spec rewrites")
+	}
+	bad := strings.Replace(src, good, "I msg GetS -> S : send Data owner mem, addsharer", 1)
+	_, ts := testServer(t, Config{JobWorkers: 1})
+	for _, workers := range []int{1, 4} {
+		body, err := json.Marshal(map[string]any{"check": engine.CheckRequest{Pair: []string{"-", "RCC"}, Spec: bad,
+			Caches: 1, Addrs: 1, Search: engine.SearchOptions{Workers: workers}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := waitState(t, ts, postJob(t, ts, string(body)), StateFailed)
+		var msg string
+		json.Unmarshal(m["error"], &msg)
+		if !strings.Contains(msg, "absent owner") {
+			t.Fatalf("workers=%d: failed job's error %q does not name the fault", workers, msg)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/healthz")

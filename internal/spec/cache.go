@@ -427,7 +427,8 @@ func (c *CacheInst) send(env Env, a Addr, line *Line, act Action, m *Msg) {
 		out.Dst = m.Req
 		out.Req = m.Req
 	default:
-		panic(fmt.Sprintf("spec: cache send to %s", act.Dst))
+		Fault(env, fmt.Errorf("spec: cache %s cannot send %s to %s", c.proto.Name, act.Msg, act.Dst))
+		return
 	}
 	switch act.Payload {
 	case PayloadLine:

@@ -231,11 +231,13 @@ func (d *DirInst) send(env Env, a Addr, line *DirLine, act Action, m *Msg) {
 		out.Dst, out.Req = m.Req, m.Req
 	case ToOwner:
 		if line.Owner == NoNode {
-			panic(fmt.Sprintf("spec: directory %s forwards to absent owner in state %s", d.proto.Name, line.State))
+			Fault(env, fmt.Errorf("spec: directory %s forwards %s to absent owner in state %s", d.proto.Name, act.Msg, line.State))
+			return
 		}
 		out.Dst, out.Req = line.Owner, m.Req
 	default:
-		panic(fmt.Sprintf("spec: directory send to %s", act.Dst))
+		Fault(env, fmt.Errorf("spec: directory %s cannot send %s to %s", d.proto.Name, act.Msg, act.Dst))
+		return
 	}
 	if act.ReqFromMsgSrc {
 		out.Req = m.Src
